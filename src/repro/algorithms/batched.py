@@ -23,21 +23,21 @@ tie exactly like the dense kernels — so the result is **bit-identical**
 to the sequential solver (property-tested in
 ``tests/test_kernel_conformance.py``).
 
-Instances that cannot batch — distance-constrained, non-Multiple,
-singleton buckets, or NumPy unavailable — fall back to
+Instances that cannot batch — distance-constrained, non-Multiple, or
+singleton buckets — fall back to
 :func:`~repro.algorithms.multiple_nod_dp.multiple_nod_dp` one by one,
 with identical results and identical exceptions.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.arrays import flat_tree
 from ..core.errors import PolicyError
 from ..core.instance import ProblemInstance
-from ..core.kernels import HAVE_NUMPY, SENTINEL, np
 from ..core.placement import Placement
 from ..core.policies import Policy
 from .multiple_nod_dp import multiple_nod_dp
@@ -46,7 +46,7 @@ __all__ = ["solve_many", "MIN_BATCH"]
 
 #: Buckets smaller than this solve per-instance — below it the array
 #: program's fixed per-batch cost outweighs the amortisation.
-MIN_BATCH = int(os.environ.get("REPRO_BATCH_MIN", "2"))
+MIN_BATCH = 2
 
 
 def _bucket_key(instance: ProblemInstance) -> Tuple:
@@ -104,9 +104,6 @@ def solve_many(
         ``return_exceptions``).
     """
     results: List[Optional[Placement]] = [None] * len(instances)
-    if not HAVE_NUMPY:
-        return [_delegate(inst, return_exceptions) for inst in instances]
-
     buckets: Dict[Tuple, List[int]] = {}
     for idx, inst in enumerate(instances):
         if inst.policy is not Policy.MULTIPLE or inst.has_distance_constraint:

@@ -90,7 +90,7 @@ __all__ = ["multiple_nod_dp"]
 _INF = float("inf")
 
 # The step-function kernels live in :mod:`repro.core.kernels` (pure
-# Python + NumPy backends, selected at import).  The underscore aliases
+# Python + NumPy backends, selected by table size).  The underscore aliases
 # keep this module the historical import site for them.
 _levels = levels
 _min_plus = min_plus

@@ -72,11 +72,11 @@ _REFERENCE_OF = {
 #: 220-node flagship — the regime a demand sweep actually runs in.
 _BATCH_SIZES = {"full": 64, "quick": 64, "smoke": 8}
 
-#: Fail-closed floor on the batched-vs-sequential speedup when NumPy is
-#: available.  The flagship measures well above 3x; the gate sits lower
-#: so runner jitter cannot fail an honest build, while a real collapse
-#: of the array path (silent pure-Python fallback, shape-bucket bug)
-#: still exits non-zero.  ``smoke`` instances are too small to gate.
+#: Fail-closed floor on the batched-vs-sequential speedup.  The flagship
+#: measures well above 3x; the gate sits lower so runner jitter cannot
+#: fail an honest build, while a real collapse of the array path
+#: (shape-bucket bug, silent per-instance fallback) still exits
+#: non-zero.  ``smoke`` instances are too small to gate.
 _BATCH_MIN_SPEEDUP = {"full": 2.0, "quick": 2.0}
 
 
@@ -220,7 +220,6 @@ def _bench_batch(
     """
     from ..algorithms.batched import solve_many
     from ..algorithms.multiple_nod_dp import multiple_nod_dp
-    from ..core.kernels import HAVE_NUMPY
 
     size = _BATCH_SIZES.get(profile, 8)
     # Best-of-3 at minimum: one batch run is ~100ms, and a single timing
@@ -231,8 +230,7 @@ def _bench_batch(
         "instance": name,
         "solver": "multiple-nod-dp",
         "batch_size": size,
-        "numpy": HAVE_NUMPY,
-        "min_speedup": _BATCH_MIN_SPEEDUP.get(profile) if HAVE_NUMPY else None,
+        "min_speedup": _BATCH_MIN_SPEEDUP.get(profile),
     }
     try:
         # Warm both paths once (FlatTree compilation, kernel dispatch)
@@ -437,8 +435,8 @@ def snapshot_problems(snapshot: Dict) -> List[str]:
     One line per problem: solvers that errored while benching,
     flat-vs-reference comparisons that were not bit-identical, and
     ``batch_throughput`` entries that errored, diverged from the
-    sequential solver, or (with NumPy) fell below their pinned
-    ``min_speedup`` floor.  Empty means the snapshot itself is healthy;
+    sequential solver, or fell below their pinned ``min_speedup``
+    floor.  Empty means the snapshot itself is healthy;
     ``repro bench`` exits non-zero otherwise, so a solver that starts
     *crashing* on the pinned corpus — or a batched path that silently
     stops vectorising — can never slip through as "no regression".
@@ -510,9 +508,7 @@ def compare_snapshots(
     that is missing or no longer ``ok`` in ``current`` counts as a
     regression too — the gate fails closed, it cannot be satisfied by
     a solver that stopped running.  ``batch_throughput`` entries are
-    compared the same way on their normalised ``batched_s`` (NumPy
-    runs against NumPy baselines only — a forced-fallback run neither
-    gates nor is gated by vectorised numbers).
+    compared the same way on their normalised ``batched_s``.
     """
     cal_cur = float(current.get("calibration_s") or 1.0)
     cal_base = float(baseline.get("calibration_s") or 1.0)
@@ -555,11 +551,11 @@ def compare_snapshots(
     base_batch = {
         b["instance"]: b
         for b in baseline.get("batch_throughput", [])
-        if b.get("status") == "ok" and b.get("numpy")
+        if b.get("status") == "ok"
     }
     seen_batch = set()
     for b in current.get("batch_throughput", []):
-        if b.get("status") != "ok" or not b.get("numpy"):
+        if b.get("status") != "ok":
             continue
         bb = base_batch.get(b["instance"])
         if bb is None:
@@ -577,19 +573,13 @@ def compare_snapshots(
             line += "  << REGRESSION"
             regressions.append(line)
         lines.append(line)
-    # Fail closed only when this run *could* have produced comparable
-    # numbers: under REPRO_NO_NUMPY the batch entries legitimately stop
-    # being vectorised measurements.
-    from ..core.kernels import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        for name in sorted(base_batch.keys() - seen_batch):
-            line = (
-                f"{name:<16} {'solve_many/batch':<18} measured ok in the "
-                "baseline but missing or not ok now  << REGRESSION"
-            )
-            regressions.append(line)
-            lines.append(line)
+    for name in sorted(base_batch.keys() - seen_batch):
+        line = (
+            f"{name:<16} {'solve_many/batch':<18} measured ok in the "
+            "baseline but missing or not ok now  << REGRESSION"
+        )
+        regressions.append(line)
+        lines.append(line)
     return lines, regressions
 
 

@@ -15,37 +15,16 @@ shutdown leaves the workers running.
 
 from __future__ import annotations
 
-import signal
 import sys
 import threading
 from typing import Dict, Optional
 
+from ..service.httpjson import graceful_shutdown
 from .ring import DEFAULT_VNODES
-from .router import RouterServer, make_router
+from .router import make_router
 from .workers import ClusterManager
 
 __all__ = ["run_cluster"]
-
-
-def _install_graceful_shutdown(server: RouterServer) -> dict:
-    """SIGTERM/SIGINT -> stop the serve loop (main thread only)."""
-    if threading.current_thread() is not threading.main_thread():
-        return {}
-
-    def _graceful(signum: int, frame: object) -> None:
-        name = signal.Signals(signum).name
-        print(
-            f"repro cluster: {name} received — stopping router and workers",
-            file=sys.stderr,
-        )
-        threading.Thread(
-            target=server.shutdown, name="repro-cluster-shutdown", daemon=True
-        ).start()
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        previous[signum] = signal.signal(signum, _graceful)
-    return previous
 
 
 def run_cluster(
@@ -109,17 +88,18 @@ def run_cluster(
     )
     for node_id, url in sorted(workers.items()):
         print(f"repro cluster:   {node_id} -> {url}", file=sys.stderr)
-    previous_handlers = _install_graceful_shutdown(server)
-    server.start_prober()
-    if ready is not None:
-        ready.set()
     try:
-        server.serve_forever()
+        with graceful_shutdown(
+            server,
+            "repro cluster: {signal} received — stopping router and workers",
+        ):
+            server.start_prober()
+            if ready is not None:
+                ready.set()
+            server.serve_forever()
     except KeyboardInterrupt:
         print("repro cluster: shutting down", file=sys.stderr)
     finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
         server.server_close()
         if manager is not None:
             manager.stop_all()

@@ -43,15 +43,14 @@ observability
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from ..service.fingerprint import instance_fingerprint
+from ..service.httpjson import JSONHandler, JSONServer, error_body
 from ..service.schema import (
     WIRE_SCHEMA_VERSION,
     ErrorCode,
@@ -61,8 +60,6 @@ from ..service.schema import (
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = ["ClusterState", "RouterServer", "make_router", "WorkerView"]
-
-_MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Response header naming the worker that served a routed request —
 #: the load generator uses it for per-worker attribution.
@@ -273,10 +270,8 @@ class _Prober(threading.Thread):
             worker.warmed_entries += warm_worker(worker.base_url, entries)
 
 
-class RouterServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the shared cluster state."""
-
-    daemon_threads = True
+class RouterServer(JSONServer):
+    """Threaded HTTP server carrying the shared cluster state."""
 
     def __init__(
         self,
@@ -309,59 +304,14 @@ class RouterServer(ThreadingHTTPServer):
         super().server_close()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JSONHandler):
     server: RouterServer  # narrowed for type checkers
 
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, fmt: str, *args: object) -> None:  # noqa: A003
-        if getattr(self.server, "verbose", False):
-            sys.stderr.write(f"{self.address_string()} - {fmt % args}\n")
-
-    # -- plumbing ------------------------------------------------------
-    def _send_json(
-        self, status: int, payload: dict, *, worker: Optional[str] = None
-    ) -> None:
+    def _relay(self, status: int, body: bytes, node: Optional[str]) -> None:
+        """Send a worker's answer on, naming the worker that gave it."""
         self._send_bytes(
-            status, json.dumps(payload).encode("utf-8"), worker=worker
+            status, body, {WORKER_HEADER: node} if node is not None else None
         )
-
-    def _send_bytes(
-        self, status: int, body: bytes, *, worker: Optional[str] = None
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if worker is not None:
-            self.send_header(WORKER_HEADER, worker)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, code: str, message: str) -> None:
-        self._send_json(
-            status,
-            {
-                "schema": WIRE_SCHEMA_VERSION,
-                "error": {"code": code, "message": message},
-            },
-        )
-
-    def _read_body(self) -> Optional[bytes]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > _MAX_BODY_BYTES:
-            self.close_connection = True
-            self._send_error_json(
-                413 if length > _MAX_BODY_BYTES else 400,
-                ErrorCode.BAD_REQUEST,
-                f"bad Content-Length {self.headers.get('Content-Length')!r}",
-            )
-            return None
-        return self.rfile.read(length)
 
     # -- forwarding core -----------------------------------------------
     def _forward_once(
@@ -425,14 +375,11 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 return status, payload, worker.node_id
         return (
             503,
-            json.dumps({
-                "schema": WIRE_SCHEMA_VERSION,
-                "error": {
-                    "code": ErrorCode.SOLVER_ERROR,
-                    "message": f"no worker available for key "
-                               f"{key[:16]}… — last error: {last_error}",
-                },
-            }).encode("utf-8"),
+            error_body(
+                ErrorCode.SOLVER_ERROR,
+                f"no worker available for key {key[:16]}… — "
+                f"last error: {last_error}",
+            ),
             None,
         )
 
@@ -461,35 +408,22 @@ class _RouterHandler(BaseHTTPRequestHandler):
             return status, payload, worker.node_id
         return (
             503,
-            json.dumps({
-                "schema": WIRE_SCHEMA_VERSION,
-                "error": {
-                    "code": ErrorCode.SOLVER_ERROR,
-                    "message": f"session worker {worker.node_id} is "
-                               f"unavailable — {last_error}",
-                },
-            }).encode("utf-8"),
+            error_body(
+                ErrorCode.SOLVER_ERROR,
+                f"session worker {worker.node_id} is unavailable — {last_error}",
+            ),
             None,
         )
 
-    # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if self.path == "/v1/healthz":
-            from .. import __version__
+    # -- GET routes ----------------------------------------------------
+    def _get_healthz(self) -> None:
+        from .. import __version__
 
-            self._send_json(200, self.server.state.healthz(__version__))
-        elif self.path == "/v1/solvers":
-            # Registry introspection is identical on every worker.
-            status, payload, node = self._forward_failover(
-                "solvers", "/v1/solvers", None
-            )
-            self._send_bytes(status, payload, worker=node)
-        elif self.path == "/v1/dynamic":
-            self._get_dynamic()
-        else:
-            self._send_error_json(
-                404, ErrorCode.BAD_REQUEST, f"no such endpoint: {self.path}"
-            )
+        self._send_json(200, self.server.state.healthz(__version__))
+
+    def _get_solvers(self) -> None:
+        # Registry introspection is identical on every worker.
+        self._relay(*self._forward_failover("solvers", "/v1/solvers", None))
 
     def _get_dynamic(self) -> None:
         """Fan out to every live worker and merge the session lists."""
@@ -509,46 +443,21 @@ class _RouterHandler(BaseHTTPRequestHandler):
             200, {"schema": WIRE_SCHEMA_VERSION, "sessions": sessions}
         )
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        routes = {
-            "/v1/solve": self._post_solve,
-            "/v1/dynamic/start": self._post_dynamic_start,
-            "/v1/dynamic/apply": self._post_dynamic_pinned,
-            "/v1/dynamic/close": self._post_dynamic_pinned,
-        }
-        route = routes.get(self.path)
-        if route is None:
-            self.close_connection = True
-            self._send_error_json(
-                404, ErrorCode.BAD_REQUEST, f"no such endpoint: {self.path}"
-            )
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        route(body)
-
-    def _post_solve(self, body: bytes) -> None:
+    # -- POST routes ---------------------------------------------------
+    def _post_solve(self, payload: object, body: bytes) -> None:
         try:
-            request = SolveRequest.from_wire(json.loads(body or b"null"))
-        except json.JSONDecodeError as exc:
-            self._send_error_json(
-                400, ErrorCode.BAD_REQUEST, f"body is not JSON: {exc}"
-            )
-            return
+            request = SolveRequest.from_wire(payload)
         except WireFormatError as exc:
             self._send_error_json(400, ErrorCode.BAD_REQUEST, str(exc))
             return
         key = instance_fingerprint(request.instance)
-        status, payload, node = self._forward_failover(key, "/v1/solve", body)
-        self._send_bytes(status, payload, worker=node)
+        self._relay(*self._forward_failover(key, "/v1/solve", body))
 
-    def _post_dynamic_start(self, body: bytes) -> None:
+    def _post_dynamic_start(self, payload: object, body: bytes) -> None:
         from ..instances.io import instance_from_dict
 
         try:
-            envelope = json.loads(body or b"null")
-            instance = instance_from_dict(envelope["instance"])
+            instance = instance_from_dict(payload["instance"])
         except Exception as exc:  # noqa: BLE001 - normalise codec failures
             self._send_error_json(
                 400,
@@ -557,28 +466,21 @@ class _RouterHandler(BaseHTTPRequestHandler):
             )
             return
         key = instance_fingerprint(instance)
-        status, payload, node = self._forward_failover(
+        status, answer, node = self._forward_failover(
             key, "/v1/dynamic/start", body
         )
         if status == 200 and node is not None:
             try:
-                session_id = json.loads(payload).get("session_id")
+                session_id = json.loads(answer).get("session_id")
             except json.JSONDecodeError:  # pragma: no cover - worker bug
                 session_id = None
             if isinstance(session_id, str):
                 self.server.state.bind_session(session_id, node)
-        self._send_bytes(status, payload, worker=node)
+        self._relay(status, answer, node)
 
-    def _post_dynamic_pinned(self, body: bytes) -> None:
-        try:
-            envelope = json.loads(body or b"null")
-        except json.JSONDecodeError as exc:
-            self._send_error_json(
-                400, ErrorCode.BAD_REQUEST, f"body is not JSON: {exc}"
-            )
-            return
+    def _post_dynamic_pinned(self, payload: object, body: bytes) -> None:
         session_id = (
-            envelope.get("session_id") if isinstance(envelope, dict) else None
+            payload.get("session_id") if isinstance(payload, dict) else None
         )
         if not isinstance(session_id, str):
             self._send_error_json(
@@ -591,10 +493,22 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 404, ErrorCode.BAD_REQUEST, f"no such session: {session_id}"
             )
             return
-        status, payload, node = self._forward_pinned(worker, self.path, body)
+        status, answer, node = self._forward_pinned(worker, self.path, body)
         if self.path == "/v1/dynamic/close" and status == 200:
             self.server.state.release_session(session_id)
-        self._send_bytes(status, payload, worker=node)
+        self._relay(status, answer, node)
+
+    GET_ROUTES = {
+        "/v1/healthz": _get_healthz,
+        "/v1/solvers": _get_solvers,
+        "/v1/dynamic": _get_dynamic,
+    }
+    POST_ROUTES = {
+        "/v1/solve": _post_solve,
+        "/v1/dynamic/start": _post_dynamic_start,
+        "/v1/dynamic/apply": _post_dynamic_pinned,
+        "/v1/dynamic/close": _post_dynamic_pinned,
+    }
 
 
 def make_router(

@@ -20,16 +20,15 @@ Two element-wise backends implement the same contract **bit-identically**
 — same costs, same argmin tie-breaks (toward the smallest split / absorb
 index), same ``-1`` no-choice sentinel:
 
-* a pure-Python backend (always available, no dependencies);
-* a NumPy backend, selected at import time when NumPy is importable and
-  not disabled via ``REPRO_NO_NUMPY=1``.
+* a pure-Python backend, for short tables;
+* a NumPy backend, for long ones.
 
 Dispatch is by operand size: NumPy wins only once tables outgrow its
 per-call overhead, so :func:`min_plus_mono` and :func:`absorb_step`
-switch backends at ``REPRO_KERNEL_NUMPY_MIN`` elements (default 512).
-Because both backends are exactly equal (property-tested in
-``tests/test_kernel_conformance.py``), the threshold is a pure
-performance knob — it can never change a result.
+switch backends at :data:`NUMPY_MIN_LEN` elements.  Because both
+backends are exactly equal (property-tested in
+``tests/test_kernel_conformance.py``), the threshold can never change
+a result.
 
 Batched threshold form
 ----------------------
@@ -44,22 +43,19 @@ no such ``u`` exists).  In that form, over a whole batch at once:
   ``T_out[v] = min(T_pool[v], max(T_pool[v-1] - W, 0))`` with window
   validity masks (:func:`batch_absorb_t`).
 
-The batched path is NumPy-only; callers fall back to per-instance solves
-when NumPy is unavailable.  ``tests/test_kernel_conformance.py`` pins
-both backends and the batched form to
-:mod:`repro.algorithms.reference` bit-for-bit.
+``tests/test_kernel_conformance.py`` pins both backends and the
+batched form to :mod:`repro.algorithms.reference` bit-for-bit.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
     "NUMPY_MIN_LEN",
     "SENTINEL",
-    "backend_name",
     "levels",
     "min_plus",
     "min_plus_mono",
@@ -81,27 +77,9 @@ _INF = float("inf")
 #: sum of two sentinels stays far below any integer-precision limit.
 SENTINEL = 1 << 20
 
-np = None
-if os.environ.get("REPRO_NO_NUMPY", "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-):
-    try:  # pragma: no cover - exercised via the no-NumPy CI leg
-        import numpy as np  # type: ignore[no-redef]
-    except Exception:  # pragma: no cover - numpy is a baked-in dependency
-        np = None
-
-HAVE_NUMPY = np is not None
-
 #: Dense-kernel dispatch threshold: below this many table elements the
 #: pure-Python loops beat NumPy's per-call overhead.
-NUMPY_MIN_LEN = int(os.environ.get("REPRO_KERNEL_NUMPY_MIN", "512"))
-
-
-def backend_name() -> str:
-    """Active dense-kernel backend: ``"numpy"`` or ``"python"``."""
-    return "numpy" if HAVE_NUMPY else "python"
+NUMPY_MIN_LEN = 512
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +351,7 @@ def min_plus_mono(
     infeasible entry).  The backend (NumPy above ``NUMPY_MIN_LEN``
     elements, pure Python otherwise) never changes the result.
     """
-    if HAVE_NUMPY and len(a) + len(b) >= NUMPY_MIN_LEN:
+    if len(a) + len(b) >= NUMPY_MIN_LEN:
         return _min_plus_mono_numpy(a, b, cap)
     return _min_plus_mono_py(a, b, cap)
 
@@ -416,7 +394,7 @@ def absorb_step(
     per ``u`` (``-1`` = no replica at this node), bit-identical to
     the original quadratic scan in either backend.
     """
-    if HAVE_NUMPY and u_cap + 1 >= NUMPY_MIN_LEN:
+    if u_cap + 1 >= NUMPY_MIN_LEN:
         return _absorb_step_numpy(pool, u_cap, W, can_host)
     return _absorb_step_py(pool, u_cap, W, can_host)
 
@@ -450,7 +428,7 @@ def stable_argsort(keys: Sequence) -> List[int]:
     in this repository relies on.  NumPy's stable argsort and Python's
     ``sorted`` are interchangeable here by definition of stability.
     """
-    if HAVE_NUMPY and len(keys) >= NUMPY_MIN_LEN:
+    if len(keys) >= NUMPY_MIN_LEN:
         return np.argsort(np.asarray(keys), kind="stable").tolist()
     return sorted(range(len(keys)), key=keys.__getitem__)
 
@@ -463,7 +441,7 @@ def prefix_fit(demands: Sequence[int], W: int) -> int:
     Algorithm 2: ``demands[:k]`` are packed, ``demands[k]`` is the
     overflow entry.
     """
-    if HAVE_NUMPY and len(demands) >= NUMPY_MIN_LEN:
+    if len(demands) >= NUMPY_MIN_LEN:
         c = np.cumsum(np.asarray(demands, dtype=np.int64))
         return int(np.searchsorted(c, W, side="right"))
     acc = 0
@@ -482,7 +460,7 @@ def capacity_split(weights: Sequence[int], W: int) -> Tuple[int, int]:
     ``k_full`` — the consumption pattern of ``multiple-greedy``'s
     replica-opening scan.
     """
-    if HAVE_NUMPY and len(weights) >= NUMPY_MIN_LEN:
+    if len(weights) >= NUMPY_MIN_LEN:
         c = np.cumsum(np.asarray(weights, dtype=np.int64))
         k_full = int(np.searchsorted(c, W, side="right"))
         if k_full >= len(weights):
@@ -498,7 +476,7 @@ def capacity_split(weights: Sequence[int], W: int) -> Tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Batched threshold form (NumPy only).
+# Batched threshold form.
 # ----------------------------------------------------------------------
 
 

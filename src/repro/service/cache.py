@@ -3,7 +3,7 @@
 A deliberately small, dependency-free LRU built on ``OrderedDict``:
 ``get`` promotes, ``put`` evicts the least recently used entry past
 ``max_entries``.  All operations take one lock, so the cache can sit
-behind the threaded daemon and the façade's worker pool unchanged.
+behind the threaded daemon unchanged.
 Hit/miss/eviction counters are exposed as an immutable
 :class:`CacheStats` snapshot for the diagnostics and analysis layers.
 """

@@ -40,8 +40,11 @@ Endpoints
     "response"}, ...]}``.  Bulk-seeds the result cache — the cluster
     router's rejoin warm-up path (:mod:`repro.cluster.warmup`).
 
-Anything else is a JSON 404.  Errors outside solver code map to the
-``{"error": {"code", "message"}}`` shape clients already parse.
+Anything else is a JSON 404.  Errors outside solver code, the stdlib's
+own (malformed request line, unsupported method) included, map to the
+``{"error": {"code", "message"}}`` shape clients already parse.  The
+HTTP plumbing is shared with the cluster router
+(:mod:`repro.service.httpjson`).
 
 Durability: ``serve(..., data_dir=...)`` backs the service with a
 :class:`~repro.storage.StateStore` — sessions and cache entries are
@@ -54,16 +57,14 @@ so a polite shutdown restarts from a snapshot instead of a log replay
 
 from __future__ import annotations
 
-import json
-import signal
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..storage import StateStore
 from .facade import PlacementService, UnknownSessionError
+from .httpjson import JSONHandler, JSONServer, graceful_shutdown
 from .schema import (
     WIRE_SCHEMA_VERSION,
     ErrorCode,
@@ -80,8 +81,6 @@ _CALLER_FAULT = (
     ErrorCode.NO_APPLICABLE_SOLVER,
 )
 
-_MAX_BODY_BYTES = 32 * 1024 * 1024  # refuse absurd payloads outright
-
 
 def _version() -> str:
     # Imported lazily: repro/__init__ re-exports this module, so a
@@ -92,10 +91,8 @@ def _version() -> str:
     return __version__
 
 
-class PlacementServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the shared service instance."""
-
-    daemon_threads = True
+class PlacementServer(JSONServer):
+    """Threaded HTTP server carrying the shared service instance."""
 
     def __init__(
         self, address: Tuple[str, int], service: PlacementService
@@ -104,122 +101,42 @@ class PlacementServer(ThreadingHTTPServer):
         self.service = service
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONHandler):
     server: PlacementServer  # narrowed for type checkers
 
-    protocol_version = "HTTP/1.1"
-    # Quiet by default: one access-log line per request on stderr only
-    # when the server was created verbose.
-    def log_message(self, fmt: str, *args: object) -> None:  # noqa: A003
-        if getattr(self.server, "verbose", False):
-            sys.stderr.write(
-                f"{self.address_string()} - {fmt % args}\n"
-            )
-
-    # -- plumbing ------------------------------------------------------
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            # Tell well-behaved clients the connection is done so they
-            # reconnect instead of reusing a socket we will close.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, code: str, message: str) -> None:
+    # -- GET routes ----------------------------------------------------
+    def _get_healthz(self) -> None:
+        stats = self.server.service.stats()
         self._send_json(
-            status,
+            200,
             {
                 "schema": WIRE_SCHEMA_VERSION,
-                "error": {"code": code, "message": message},
+                "status": "ok",
+                "version": _version(),
+                "stats": stats.to_wire(),
             },
         )
 
-    def _read_body(self) -> Optional[bytes]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > _MAX_BODY_BYTES:
-            # The unread body would desync the keep-alive stream (the
-            # server would parse body bytes as the next request line),
-            # so drop the connection with the error.
-            self.close_connection = True
-            self._send_error_json(
-                413 if length > _MAX_BODY_BYTES else 400,
-                ErrorCode.BAD_REQUEST,
-                f"bad Content-Length {self.headers.get('Content-Length')!r}",
-            )
-            return None
-        return self.rfile.read(length)
+    def _get_solvers(self) -> None:
+        self._send_json(
+            200,
+            {
+                "schema": WIRE_SCHEMA_VERSION,
+                "solvers": self.server.service.solver_info(),
+            },
+        )
 
-    # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        if self.path == "/v1/healthz":
-            stats = self.server.service.stats()
-            self._send_json(
-                200,
-                {
-                    "schema": WIRE_SCHEMA_VERSION,
-                    "status": "ok",
-                    "version": _version(),
-                    "stats": stats.to_wire(),
-                },
-            )
-        elif self.path == "/v1/solvers":
-            self._send_json(
-                200,
-                {
-                    "schema": WIRE_SCHEMA_VERSION,
-                    "solvers": self.server.service.solver_info(),
-                },
-            )
-        elif self.path == "/v1/dynamic":
-            self._send_json(
-                200,
-                {
-                    "schema": WIRE_SCHEMA_VERSION,
-                    "sessions": self.server.service.dynamic_sessions(),
-                },
-            )
-        else:
-            self._send_error_json(
-                404, ErrorCode.BAD_REQUEST, f"no such endpoint: {self.path}"
-            )
+    def _get_dynamic(self) -> None:
+        self._send_json(
+            200,
+            {
+                "schema": WIRE_SCHEMA_VERSION,
+                "sessions": self.server.service.dynamic_sessions(),
+            },
+        )
 
-    def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        routes = {
-            "/v1/solve": self._post_solve,
-            "/v1/dynamic/start": self._post_dynamic_start,
-            "/v1/dynamic/apply": self._post_dynamic_apply,
-            "/v1/dynamic/close": self._post_dynamic_close,
-            "/v1/cache/warm": self._post_cache_warm,
-        }
-        route = routes.get(self.path)
-        if route is None:
-            # The unread POST body would desync keep-alive (parsed as
-            # the next request line), so drop the connection too.
-            self.close_connection = True
-            self._send_error_json(
-                404, ErrorCode.BAD_REQUEST, f"no such endpoint: {self.path}"
-            )
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            payload = json.loads(body or b"null")
-        except json.JSONDecodeError as exc:
-            self._send_error_json(
-                400, ErrorCode.BAD_REQUEST, f"body is not JSON: {exc}"
-            )
-            return
-        route(payload)
-
-    def _post_solve(self, payload: object) -> None:
+    # -- POST routes ---------------------------------------------------
+    def _post_solve(self, payload: object, _body: bytes) -> None:
         try:
             request = SolveRequest.from_wire(payload)
         except WireFormatError as exc:
@@ -251,7 +168,7 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return payload
 
-    def _post_dynamic_start(self, payload: object) -> None:
+    def _post_dynamic_start(self, payload: object, _body: bytes) -> None:
         from ..instances.io import instance_from_dict
 
         payload = self._check_envelope(payload)
@@ -300,7 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _post_dynamic_apply(self, payload: object) -> None:
+    def _post_dynamic_apply(self, payload: object, _body: bytes) -> None:
         from ..dynamic import event_from_wire
 
         payload = self._check_envelope(payload)
@@ -345,7 +262,7 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _post_cache_warm(self, payload: object) -> None:
+    def _post_cache_warm(self, payload: object, _body: bytes) -> None:
         """Cluster warm-up: seed this worker's result cache in bulk.
 
         Body: ``{"schema": 1, "entries": [{"key", "instance_fp",
@@ -380,7 +297,7 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _post_dynamic_close(self, payload: object) -> None:
+    def _post_dynamic_close(self, payload: object, _body: bytes) -> None:
         payload = self._check_envelope(payload)
         if payload is None:
             return
@@ -395,6 +312,19 @@ class _Handler(BaseHTTPRequestHandler):
             200,
             {"schema": WIRE_SCHEMA_VERSION, "session_id": session_id, "closed": True},
         )
+
+    GET_ROUTES = {
+        "/v1/healthz": _get_healthz,
+        "/v1/solvers": _get_solvers,
+        "/v1/dynamic": _get_dynamic,
+    }
+    POST_ROUTES = {
+        "/v1/solve": _post_solve,
+        "/v1/dynamic/start": _post_dynamic_start,
+        "/v1/dynamic/apply": _post_dynamic_apply,
+        "/v1/dynamic/close": _post_dynamic_close,
+        "/v1/cache/warm": _post_cache_warm,
+    }
 
 
 def make_server(
@@ -429,36 +359,6 @@ def make_server(
     server = PlacementServer((host, port), service)
     server.verbose = verbose
     return server
-
-
-def _install_graceful_shutdown(server: PlacementServer) -> dict:
-    """SIGTERM/SIGINT -> stop accepting and fall through to the flush path.
-
-    Only possible from the main thread (a CPython restriction on
-    ``signal.signal``); background-thread servers — the test harness —
-    keep the default handlers.  The handler must not call
-    ``server.shutdown()`` directly: it runs *on* the main thread, which
-    is blocked inside ``serve_forever``, and ``shutdown()`` waits for
-    that loop to exit — a deadlock — so a helper thread issues it.
-    Returns the previous handlers for restoration.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        return {}
-
-    def _graceful(signum: int, frame: object) -> None:
-        name = signal.Signals(signum).name
-        print(
-            f"repro serve: {name} received — flushing state and exiting",
-            file=sys.stderr,
-        )
-        threading.Thread(
-            target=server.shutdown, name="repro-serve-shutdown", daemon=True
-        ).start()
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        previous[signum] = signal.signal(signum, _graceful)
-    return previous
 
 
 def serve(
@@ -496,16 +396,16 @@ def serve(
         f"POST /v1/dynamic/*{durable})",
         file=sys.stderr,
     )
-    previous_handlers = _install_graceful_shutdown(server)
-    if ready is not None:
-        ready.set()
     try:
-        server.serve_forever()
+        with graceful_shutdown(
+            server, "repro serve: {signal} received — flushing state and exiting"
+        ):
+            if ready is not None:
+                ready.set()
+            server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)
     finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
         server.server_close()
         seq = server.service.persist_now()
         if seq is not None:

@@ -19,9 +19,8 @@ order:
 5. cache deterministic outcomes (``ok`` and ``infeasible``) and record
    latency/status counters for :meth:`stats`.
 
-The service is thread-safe end to end (locked cache, locked counters)
-and owns a lazily started thread pool for :meth:`solve_many`, so the
-threaded HTTP daemon and library callers share one implementation.
+The service is thread-safe end to end (locked cache, locked counters),
+so the threaded HTTP daemon and library callers share one instance.
 
 The service also fronts the online re-placement layer:
 :meth:`PlacementService.start_dynamic` opens a
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
@@ -167,10 +165,6 @@ class PlacementService:
     ----------
     cache_size:
         Maximum entries in the LRU result cache (``0`` disables it).
-    workers:
-        Thread-pool width for :meth:`solve_many`; ``None`` lets the
-        executor pick its default.  Single :meth:`solve` calls never
-        touch the pool.
     default_budget:
         Budget applied when a request carries none (forwarded only to
         solvers that declare a budget kwarg).
@@ -190,14 +184,11 @@ class PlacementService:
     def __init__(
         self,
         cache_size: int = 256,
-        workers: Optional[int] = None,
         default_budget: Optional[int] = None,
         store: Optional[StateStore] = None,
     ) -> None:
         self._cache: ResultCache[SolveResponse] = ResultCache(cache_size)
-        self._workers = workers
         self._default_budget = default_budget
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._requests = 0
         self._by_status: Dict[str, int] = {}
@@ -215,7 +206,7 @@ class PlacementService:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool and state store down (idempotent).
+        """Shut the state store down (idempotent).
 
         The store is closed *without* a snapshot — closing is
         crash-equivalent by design, so recovery paths stay exercised.
@@ -223,10 +214,7 @@ class PlacementService:
         graceful-shutdown path does).
         """
         with self._lock:
-            pool, self._pool = self._pool, None
             store, self._store = self._store, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         if store is not None:
             store.close()
 
@@ -418,18 +406,16 @@ class PlacementService:
     ) -> List[SolveResponse]:
         """Solve a batch, vectorising same-shape DP solves.
 
-        Responses come back in request order.  Requests that would run
-        the Multiple-NoD DP and are not already cached are solved first
-        as one array program (:mod:`repro.algorithms.batched` — one
-        NumPy pass per shape bucket, bit-identical placements); each
-        precomputed result then flows through the ordinary
-        :meth:`solve` path, so cache probing, checker validation, WAL
-        ``CachePut`` logging and stats recording are exactly those of a
-        sequential loop.  Cache hits never reach the batch.  Everything
-        else fans out on the service's worker pool as before; identical
-        requests in one batch still deduplicate through the cache
-        (first one computes, the rest hit — modulo racing, which at
-        worst recomputes).
+        Requests that would run the Multiple-NoD DP and are not already
+        cached are solved first as one array program
+        (:mod:`repro.algorithms.batched` — one NumPy pass per shape
+        bucket, bit-identical placements).  Then every request, in
+        order, goes through the ordinary :meth:`solve` path with its
+        precomputed result, so responses, cache probing, checker
+        validation, WAL ``CachePut`` records and stats are exactly
+        those of a sequential loop.  Cache hits never reach the batch,
+        and of identical requests in one batch only the first misses
+        the cache.
         """
         reqs = list(requests)
         if len(reqs) <= 1:
@@ -445,13 +431,7 @@ class PlacementService:
                 batch_idx, self._solve_batched([reqs[i] for i in batch_idx])
             ):
                 pre[i] = result
-        pool = self._ensure_pool()
-        return list(pool.map(self._solve_one, reqs, pre))
-
-    def _solve_one(
-        self, request: SolveRequest, precomputed: Optional[SolveResult]
-    ) -> SolveResponse:
-        return self.solve(request, _precomputed=precomputed)
+        return [self.solve(r, _precomputed=p) for r, p in zip(reqs, pre)]
 
     def _batchable(self, request: SolveRequest) -> bool:
         """True iff :meth:`solve` would run the batchable DP solver."""
@@ -987,15 +967,6 @@ class PlacementService:
         return h.hexdigest()
 
     # -- stats ---------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers,
-                    thread_name_prefix="placement-service",
-                )
-            return self._pool
-
     def _record(self, response: SolveResponse) -> None:
         with self._lock:
             self._requests += 1

@@ -17,7 +17,6 @@ from repro.analysis import (
     write_snapshot,
 )
 from repro.cli import main
-from repro.core.kernels import HAVE_NUMPY
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +81,6 @@ class TestRunBench:
         assert b["status"] == "ok"
         assert b["batch_size"] == 8
         assert b["identical"] is True
-        assert b["numpy"] is HAVE_NUMPY
         assert b["sequential_ips"] > 0 and b["batched_ips"] > 0
         assert b["speedup"] == pytest.approx(
             b["sequential_s"] / b["batched_s"]
@@ -187,11 +185,13 @@ class TestCompare:
         problems = snapshot_problems(broken)
         assert any("batched solve_many errored" in p for p in problems)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="fallback runs don't gate")
     def test_batch_regression_and_fail_closed(self, smoke_snapshot):
         base = json.loads(json.dumps(smoke_snapshot))
         base["batch_throughput"][0]["batched_s"] = 0.004
-        slow = json.loads(json.dumps(base))
+        # Older snapshots, the committed baseline among them, carry a
+        # "numpy" field; it must neither break nor bypass the gate.
+        base["batch_throughput"][0]["numpy"] = True
+        slow = json.loads(json.dumps(smoke_snapshot))
         slow["batch_throughput"][0]["batched_s"] = 0.05
         _lines, regressions = compare_snapshots(slow, base, 25.0)
         assert any("solve_many/batch" in r for r in regressions)
@@ -259,7 +259,6 @@ class TestCli:
         ])
         assert rc == 1
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="fallback runs don't gate")
     def test_bench_verb_fails_on_batch_regression_alone(self, tmp_path):
         # Degrade only the baseline's batch entry: solver entries are
         # made absurdly slow (current can only look better) while the

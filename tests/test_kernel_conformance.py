@@ -22,25 +22,17 @@ that contract from three directions:
   object-graph reference, for mixed-shape batches, delegated instances
   (wrong policy, distance-constrained) and per-instance failures, with
   and without ``return_exceptions``.
-
-Everything here must pass with NumPy **blocked** too: run the file (and
-tier 1) under ``REPRO_NO_NUMPY=1`` — the CI ``no-numpy`` leg does; the
-NumPy-only tests skip themselves.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro import Policy, ProblemInstance, TreeBuilder
 from repro.algorithms.batched import solve_many
 from repro.algorithms.multiple_nod_dp import multiple_nod_dp
@@ -48,7 +40,6 @@ from repro.algorithms.reference import multiple_nod_dp_reference
 from repro.core import kernels
 from repro.core.errors import PolicyError
 from repro.core.kernels import (
-    HAVE_NUMPY,
     SENTINEL,
     _absorb_step_py,
     _min_plus_mono_py,
@@ -73,8 +64,6 @@ SOLVER = dict(
 )
 
 _INF = float("inf")
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy blocked")
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +112,7 @@ def _naive_absorb(pool, u_cap, W, can_host=True):
 def test_min_plus_backends_bit_identical(a, b, cap):
     ref = min_plus(a, b, cap)
     assert _min_plus_mono_py(a, b, cap) == ref
-    if HAVE_NUMPY:
-        assert kernels._min_plus_mono_numpy(a, b, cap) == ref
+    assert kernels._min_plus_mono_numpy(a, b, cap) == ref
     assert min_plus_mono(a, b, cap) == ref
 
 
@@ -133,8 +121,7 @@ def test_min_plus_backends_bit_identical(a, b, cap):
 def test_absorb_backends_bit_identical(pool, u_cap, W, can_host):
     ref = _naive_absorb(pool, u_cap, W, can_host)
     assert _absorb_step_py(pool, u_cap, W, can_host) == ref
-    if HAVE_NUMPY:
-        assert kernels._absorb_step_numpy(pool, u_cap, W, can_host) == ref
+    assert kernels._absorb_step_numpy(pool, u_cap, W, can_host) == ref
     assert absorb_step(pool, u_cap, W, can_host) == ref
 
 
@@ -158,8 +145,7 @@ _EDGE_TABLES = [
 def test_min_plus_edge_cases(a, b, cap):
     ref = min_plus(a, b, cap)
     assert _min_plus_mono_py(a, b, cap) == ref
-    if HAVE_NUMPY:
-        assert kernels._min_plus_mono_numpy(a, b, cap) == ref
+    assert kernels._min_plus_mono_numpy(a, b, cap) == ref
 
 
 @pytest.mark.parametrize("pool", _EDGE_TABLES)
@@ -171,8 +157,7 @@ def test_min_plus_edge_cases(a, b, cap):
 def test_absorb_edge_cases(pool, u_cap, W, can_host):
     ref = _naive_absorb(pool, u_cap, W, can_host)
     assert _absorb_step_py(pool, u_cap, W, can_host) == ref
-    if HAVE_NUMPY:
-        assert kernels._absorb_step_numpy(pool, u_cap, W, can_host) == ref
+    assert kernels._absorb_step_numpy(pool, u_cap, W, can_host) == ref
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +184,6 @@ def test_threshold_round_trip_unreachable(table):
     assert thresholds_to_table(t, len(table)) == [_INF] * len(table)
 
 
-@needs_numpy
 @settings(**COMMON)
 @given(
     st.lists(
@@ -212,14 +196,11 @@ def test_threshold_round_trip_unreachable(table):
 def test_batch_leaf_thresholds_match_dense(rs_caps, W):
     rs = [r for r, _c in rs_caps]
     caps = [c for _r, c in rs_caps]
-    t = kernels.batch_leaf_thresholds(
-        kernels.np.array(rs), kernels.np.array(caps), W
-    )
+    t = kernels.batch_leaf_thresholds(np.array(rs), np.array(caps), W)
     for i, (r, u_cap) in enumerate(rs_caps):
         assert t[i].tolist() == table_to_thresholds(leaf_table(r, u_cap, W), 2)
 
 
-@needs_numpy
 @settings(**COMMON)
 @given(
     st.lists(
@@ -229,7 +210,6 @@ def test_batch_leaf_thresholds_match_dense(rs_caps, W):
     )
 )
 def test_batch_min_plus_matches_dense(cases):
-    np = kernels.np
     va = max(_n_values(a) for a, _b, _c in cases)
     vb = max(_n_values(b) for _a, b, _c in cases)
     ta = np.array(
@@ -261,11 +241,9 @@ def _pools_with_caps(draw):
     return out
 
 
-@needs_numpy
 @settings(**COMMON)
 @given(_pools_with_caps(), st.integers(1, 8))
 def test_batch_absorb_matches_dense(pools_caps, W):
-    np = kernels.np
     vp = max(_n_values(pool) for pool, _c in pools_caps)
     t_pool = np.array(
         [table_to_thresholds(pool, vp) for pool, _c in pools_caps],
@@ -280,7 +258,6 @@ def test_batch_absorb_matches_dense(pools_caps, W):
         assert t_tab[i].tolist() == table_to_thresholds(dense, vp + 1)
 
 
-@needs_numpy
 def test_batch_absorb_top_column_inherits_pool():
     """The widened top value must inherit the pool's last threshold.
 
@@ -291,7 +268,6 @@ def test_batch_absorb_top_column_inherits_pool():
     unreachable (``SENTINEL``) and poison every convolution stacked on
     top.
     """
-    np = kernels.np
     t_pool = np.array([[0]], dtype=np.int32)       # pool [0.0]
     t_tab, len_tab = kernels.batch_absorb_t(
         t_pool, np.array([1]), np.array([0]), 2
@@ -305,7 +281,6 @@ def test_batch_absorb_top_column_inherits_pool():
 # ----------------------------------------------------------------------
 # Fold helpers: the NumPy paths equal the Python paths on the same input.
 # ----------------------------------------------------------------------
-@needs_numpy
 @settings(**COMMON)
 @given(st.lists(st.integers(0, 9), max_size=40), st.integers(1, 30))
 def test_fold_helpers_backend_identical(values, W):
@@ -411,58 +386,3 @@ def test_solve_many_empty_and_singleton():
     assert solve_many([]) == []
     inst = _chain_instance(3)
     assert solve_many([inst]) == [multiple_nod_dp(inst)]
-
-
-# ----------------------------------------------------------------------
-# The REPRO_NO_NUMPY knob: fallback is forced, results are unchanged.
-# ----------------------------------------------------------------------
-def _src_pythonpath() -> str:
-    src = str(Path(repro.__file__).resolve().parents[1])
-    existing = os.environ.get("PYTHONPATH")
-    return src if not existing else src + os.pathsep + existing
-
-
-_FALLBACK_CHECK = """
-import repro.core.kernels as k
-assert not k.HAVE_NUMPY and k.np is None
-assert k.backend_name() == "python"
-from repro.algorithms.batched import solve_many
-from repro.algorithms.multiple_nod_dp import multiple_nod_dp
-from repro.core.policies import Policy
-from repro.instances.generators import random_tree
-batch = [
-    random_tree(3, 6, capacity=6, dmax=None, policy=Policy.MULTIPLE, seed=s)
-    for s in range(3)
-]
-assert solve_many(batch) == [multiple_nod_dp(x) for x in batch]
-"""
-
-
-def test_no_numpy_knob_forces_pure_python_fallback():
-    env = dict(os.environ)
-    env["REPRO_NO_NUMPY"] = "1"
-    env["PYTHONPATH"] = _src_pythonpath()
-    proc = subprocess.run(
-        [sys.executable, "-c", _FALLBACK_CHECK],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_numpy_min_len_knob_is_honoured():
-    env = dict(os.environ)
-    env["REPRO_KERNEL_NUMPY_MIN"] = "7"
-    env["PYTHONPATH"] = _src_pythonpath()
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import repro.core.kernels as k; assert k.NUMPY_MIN_LEN == 7",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from dataclasses import replace as dc_replace
@@ -223,35 +226,61 @@ class TestConcurrency:
             SolveRequest(instance=i, request_id=f"r{n}")
             for n, i in enumerate(instances)
         ]
-        with PlacementService(cache_size=32, workers=4) as svc:
+        with PlacementService(cache_size=32) as svc:
             responses = svc.solve_many(reqs)
         assert [r.request_id for r in responses] == [f"r{n}" for n in range(8)]
         for inst, resp in zip(instances, responses):
             assert resp.ok
             check_placement(inst, resp.placement)
 
-    def test_concurrent_identical_requests_agree(self, single_d):
-        with PlacementService(cache_size=32, workers=8) as svc:
+    def test_solve_many_identical_requests_miss_once(self, single_d):
+        with PlacementService(cache_size=32) as svc:
             responses = svc.solve_many(
                 [SolveRequest(instance=single_d) for _ in range(16)]
             )
-            placements = {r.placement for r in responses}
-            assert len(placements) == 1
-            assert all(r.ok for r in responses)
             stats = svc.stats()
-            assert stats.requests == 16
-            # At least some of the 16 must have been cache hits.
-            assert stats.cache.hits > 0
+        assert len({r.placement for r in responses}) == 1
+        assert all(r.ok for r in responses)
+        assert [r.diagnostics.cache_hit for r in responses] == [False] + [True] * 15
+        assert (stats.requests, stats.cache.misses, stats.cache.hits) == (16, 1, 15)
 
-    def test_threaded_stats_are_consistent(self):
-        instances = [
-            random_tree(4, 8, capacity=12, dmax=4.0, seed=s) for s in range(6)
-        ]
-        with PlacementService(cache_size=4, workers=4) as svc:
-            svc.solve_many([SolveRequest(instance=i) for i in instances] * 3)
-            stats = svc.stats()
-        assert stats.requests == 18
-        assert sum(stats.by_status.values()) == 18
+    def test_concurrent_identical_requests_agree(self, single_d):
+        # The threaded daemon calls solve() from one thread per
+        # connection: more threads than cores and a short switch
+        # interval make lost counter updates and torn cache state show.
+        n_threads, per_thread = 8, 4
+        request = SolveRequest(instance=single_d)
+        start = threading.Barrier(n_threads)
+        responses = []
+        interval = sys.getswitchinterval()
+
+        def worker(svc):
+            start.wait(timeout=10)
+            for _ in range(per_thread):
+                responses.append(svc.solve(request))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with PlacementService(cache_size=4) as svc:
+                threads = [
+                    threading.Thread(target=worker, args=(svc,))
+                    for _ in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        total = n_threads * per_thread
+        assert len(responses) == total
+        assert all(r.ok for r in responses)
+        assert len({r.placement for r in responses}) == 1
+        assert stats.requests == sum(stats.by_status.values()) == total
+        assert stats.cache.hits + stats.cache.misses == total
+        assert stats.cache.misses >= 1
         assert stats.latency_ms_max >= stats.latency_ms_p50 >= 0.0
 
 
