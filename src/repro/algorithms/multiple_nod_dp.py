@@ -1,4 +1,4 @@
-"""Exact dynamic program for Multiple-NoD, on the flat-array substrate.
+"""Exact dynamic program for Multiple-NoD, on threshold rows.
 
 The paper uses as known background (its reference [3], Benoit,
 Rehn-Sonigo & Robert 2008) that **Multiple without distance
@@ -27,124 +27,188 @@ depth), besides the subtree demand itself.
 
       g_v(u) = min( h(u),  1 + min_{u < U ≤ u + W} h(U) )
 
-* The answer is ``g_root(0)``; placements are reconstructed by
-  backtracking the argmins of every convolution and absorb choice.
+* The answer is ``g_root(0)``; placements are reconstructed top-down
+  by recovering every convolution split and absorb choice.
 
-Data layout and the monotone fast path
---------------------------------------
-The hot loop runs on the :class:`~repro.core.arrays.FlatTree` compiled
-from the instance's tree: post-order positions replace the object
-traversal, so the bottom-up pass is ``for p in range(n)`` over
-contiguous ``demand`` / ``depth`` / ``subtree_demand`` arrays with
-children reached through ``first_child`` / ``next_sibling`` chains.
+Threshold rows
+--------------
+Every table is a non-increasing step function in small integers, so
+the DP stores it as a threshold row ``(v0, T, length)`` with
+``T[i] = min{u : g(u) ≤ v0 + i}`` (:mod:`repro.core.kernels`).  A row
+is never longer than the dense table, and in practice far shorter —
+at most 9 entries on the 9544-node mesh.  Folding a node is one
+:func:`~repro.core.kernels.min_plus` per child, in
+``O(len(T_child) · len(T_pool))``, then one
+:func:`~repro.core.kernels.absorb`.  :func:`fold` keeps the pool row
+before each child's convolution; reconstruction (:func:`place`) reads
+the dense argmins back off those rows with the kernels' probes.
 
-Every DP table is a **non-increasing step function** (forwarding more
-can never require more local replicas; see the invariants note below),
-which the convolution and absorb kernels exploit:
-
-* :func:`_min_plus_mono` decomposes the child table into its constant
-  *levels* and convolves per level — ``O(L · |pool|)`` where ``L`` is
-  the number of distinct replica counts, instead of the quadratic
-  ``O(|g_child| · |pool|)`` of the general kernel;
-* the absorb step reads the window minimum straight off the pool's
-  level structure — ``min`` over ``(u, u+W]`` of a non-increasing
-  table is its rightmost entry — in O(1) amortised per ``u`` instead
-  of O(W).
+The fold runs on the :class:`~repro.core.arrays.FlatTree` compiled from
+the instance's tree: post-order positions, so the bottom-up pass is
+``for p in range(n)`` with children reached through ``first_child`` /
+``next_sibling`` chains.  :class:`repro.dynamic.IncrementalNodDP` runs
+the same :func:`fold` and :func:`place`, re-folding only nodes whose
+subtree changed and forbidding failed hosts.
 
 Invariants
 ----------
-The flat path is **bit-identical** to the original object-graph
+The placements are **bit-identical** to the original object-graph
 formulation (preserved as
-:func:`repro.algorithms.reference.multiple_nod_dp_reference`): both
-kernels break argmin ties toward the smallest split / absorb index, so
-every table, every argmin and hence the reconstructed placement are
-exactly equal — property-tested in ``tests/test_arrays.py`` and
-benchmarked by ``repro bench`` (``docs/performance.md``).
-
-Complexity ``O(|T| · D · L)`` with total demand ``D`` and replica-count
-diversity ``L ≤ |R_opt|`` — pseudo-polynomial, exact, and fast for the
-demand scales of the benchmark suite.  (The paper's framework treats
-request counts as integers, which this DP requires.)
+:func:`repro.algorithms.reference.multiple_nod_dp_reference`): the
+probes break argmin ties toward the smallest split / absorb index, as
+the dense kernels do — property-tested in ``tests/test_arrays.py`` and
+``tests/test_kernel_conformance.py`` and benchmarked by ``repro
+bench`` (``docs/performance.md``).  The replica set is routed to
+clients by :func:`~repro.algorithms.feasibility.multiple_assignment`.
+(The paper's framework treats request counts as integers, which this DP
+requires.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.arrays import flat_tree
-from ..core.errors import PolicyError
+from ..core.arrays import FlatTree, flat_tree
+from ..core.errors import InfeasibleInstanceError, PolicyError
 from ..core.instance import ProblemInstance
 from ..core.kernels import (
-    absorb_step,
-    leaf_table,
-    levels,
+    ZERO_ROW,
+    Row,
+    absorb,
+    absorb_arg,
+    conv_arg,
+    leaf_row,
     min_plus,
-    min_plus_mono,
+    value_at,
 )
 from ..core.placement import Placement
 from ..core.policies import Policy
 from ..runner.registry import register_solver
 
-__all__ = ["multiple_nod_dp"]
+__all__ = ["NodeFold", "fold", "place", "multiple_nod_dp"]
 
-_INF = float("inf")
-
-# The step-function kernels live in :mod:`repro.core.kernels` (pure
-# Python + NumPy backends, selected by table size).  The underscore aliases
-# keep this module the historical import site for them.
-_levels = levels
-_min_plus = min_plus
-_min_plus_mono = min_plus_mono
-_absorb_step = absorb_step
+#: One node's fold: its row and, for an internal node, the pool row
+#: before each child's convolution, keyed by the child's post position
+#: (in child order), and the final pool.
+NodeFold = Tuple[Row, Optional[List[Tuple[int, Row]]], Optional[Row]]
 
 
-def _fold_node_tables(
-    g: List[Optional[List[float]]],
-    first_child: List[int],
-    next_sibling: List[int],
-    p: int,
+def fold(
+    ft: FlatTree,
     W: int,
-    u_cap: int,
-    pool_cap: int,
-) -> Tuple[
-    List[float],
-    List[Tuple[int, List[int]]],
-    List[int],
-]:
-    """One internal-node DP fold on the flat substrate.
-
-    Convolves the children's tables into the pool with the monotone
-    kernel, then applies :func:`repro.core.kernels.absorb_step`.
+    folds: List[Optional[NodeFold]],
+    positions: Iterable[int],
+    failed: FrozenSet[int] = frozenset(),
+) -> None:
+    """Fold the nodes at ``positions`` into ``folds``, bottom-up.
 
     Parameters
     ----------
-    g:
-        Per-post-position DP tables (children of ``p`` already folded).
-    first_child, next_sibling:
-        The FlatTree child chains.
-    p:
-        Post position of the internal node being folded.
+    ft:
+        The instance tree's flat layout.
     W:
         Server capacity.
-    u_cap, pool_cap:
-        Forward-amount caps for the node table and the children pool.
-
-    Returns
-    -------
-    ``(table, args, chose)`` — the node's table, the per-child
-    convolution argmins (in child order, keyed by child post position)
-    and the chosen absorb source per ``u`` (``-1`` = no replica) —
-    all bit-identical to the object-graph formulation.
+    folds:
+        One entry per post position; every child of a folded node
+        must already hold its fold (an earlier position, or a reused
+        one).
+    positions:
+        Ascending post positions to fold.
+    failed:
+        Original ids of failed hosts: a failed leaf forwards its whole
+        demand, a failed internal node keeps its pool.
     """
-    pool: List[float] = [0.0]
-    args: List[Tuple[int, List[int]]] = []
-    c = first_child[p]
-    while c >= 0:
-        pool, arg = min_plus_mono(g[c], pool, pool_cap)
-        args.append((c, arg))
-        c = next_sibling[c]
-    table, chose = absorb_step(pool, u_cap, W)
-    return table, args, chose
+    post_to_orig = ft.post_to_orig
+    subtree_demand = ft.subtree_demand
+    depth = ft.depth
+    demand = ft.demand
+    first_child = ft.first_child
+    next_sibling = ft.next_sibling
+    for p in positions:
+        sd = subtree_demand[p]
+        cap_fwd = W * depth[p]
+        u_cap = sd if sd < cap_fwd else cap_fwd
+        can_host = post_to_orig[p] not in failed
+        c = first_child[p]
+        if c < 0:
+            folds[p] = (leaf_row(demand[p], u_cap, W, can_host), None, None)
+            continue
+        pool_cap = cap_fwd + W
+        if sd < pool_cap:
+            pool_cap = sd
+        pool = ZERO_ROW
+        before: List[Tuple[int, Row]] = []
+        while c >= 0:
+            before.append((c, pool))
+            pool = min_plus(folds[c][0], pool, pool_cap)
+            c = next_sibling[c]
+        folds[p] = (absorb(pool, u_cap, W, can_host), before, pool)
+
+
+def place(
+    instance: ProblemInstance,
+    ft: FlatTree,
+    folds: Sequence[NodeFold],
+    failed: FrozenSet[int] = frozenset(),
+) -> Placement:
+    """The placement the folded DP describes.
+
+    Walks the folds top-down from ``g_root(0)``: at each internal node
+    the absorb probe decides the replica there (never on a ``failed``
+    host), then the convolution probes split the pool amount across the
+    children, last child first.  The replica set is routed with
+    :func:`~repro.algorithms.feasibility.multiple_assignment`.
+
+    Raises
+    ------
+    InfeasibleInstanceError
+        If the root row does not reach ``u = 0``: no placement (off
+        the ``failed`` hosts) covers the demand.
+    """
+    root = ft.root
+    if value_at(folds[root][0], 0) is None:
+        raise InfeasibleInstanceError(
+            "demand cannot be covered"
+            + (" without the failed hosts" if failed else "")
+        )
+    W = instance.capacity
+    post_to_orig = ft.post_to_orig
+    demand = ft.demand
+    replicas: List[int] = []
+    forward = [0] * ft.n
+    # Descending post positions visit every parent before its children.
+    for p in range(root, -1, -1):
+        u = forward[p]
+        _row, before, pool = folds[p]
+        if before is None:
+            if u < demand[p]:
+                replicas.append(post_to_orig[p])
+            continue
+        if post_to_orig[p] not in failed:
+            src = absorb_arg(pool, u, W)
+            if src >= 0:
+                replicas.append(post_to_orig[p])
+                u = src
+        value = value_at(pool, u)
+        for k in range(len(before) - 1, -1, -1):
+            child, prior = before[k]
+            j = conv_arg(folds[child][0], prior, u, value)
+            assert j >= 0
+            forward[child] = j
+            u -= j
+            value = value_at(prior, u)
+        # ``u`` is now the initial pool's zero element.
+        assert u == 0
+
+    from .feasibility import multiple_assignment
+
+    assign = multiple_assignment(instance, replicas)
+    if assign is None:  # pragma: no cover - contradicts DP feasibility
+        raise PolicyError("DP replica set failed flow verification")
+    used = set(replicas)
+    for (_c, s) in assign:
+        used.add(s)
+    return Placement(used, dict(assign))
 
 
 @register_solver(
@@ -174,88 +238,16 @@ def multiple_nod_dp(instance: ProblemInstance) -> Placement:
         On instances with a distance constraint (the DP state would
         need per-distance profiles; use the branch-and-bound exact
         solver there).
+    InfeasibleInstanceError
+        If no placement covers the demand (a client's demand exceeds
+        the capacity of its whole root path).
     """
     if instance.has_distance_constraint:
         raise PolicyError(
             "multiple_nod_dp solves the NoD variants only; use "
             "exact_multiple for distance-constrained instances"
         )
-    tree = instance.tree
-    W = instance.capacity
-    ft = flat_tree(tree)
-    n = ft.n
-    root = ft.root
-    depth = ft.depth
-    demand = ft.demand
-    sdem = ft.subtree_demand
-    first_child = ft.first_child
-    next_sibling = ft.next_sibling
-
-    # g[p]: list over u of minimal replicas; bookkeeping for rebuild.
-    g: List[Optional[List[float]]] = [None] * n
-    conv_args: List[Optional[List[Tuple[int, List[int]]]]] = [None] * n
-    absorb_from: List[Optional[List[int]]] = [None] * n
-
-    for p in range(n):
-        cap_fwd = W * depth[p]
-        u_cap = sdem[p] if sdem[p] < cap_fwd else cap_fwd
-        if first_child[p] < 0:
-            # Serving r - u locally needs one replica of capacity W.
-            g[p] = leaf_table(demand[p], u_cap, W)
-            continue
-        pool_cap = min(sdem[p], W * (depth[p] + 1))
-        table, args, chose = _fold_node_tables(
-            g, first_child, next_sibling, p, W, u_cap, pool_cap
-        )
-        g[p] = table
-        conv_args[p] = args
-        absorb_from[p] = chose
-
-    g_root = g[root]
-    if not g_root or g_root[0] == _INF:  # pragma: no cover - defensive
-        raise PolicyError("DP failed to cover the demand")
-
-    # ------------------------------------------------------------------
-    # Reconstruction: walk the argmins top-down over post positions,
-    # emitting original node ids for the replica set.
-    # ------------------------------------------------------------------
-    post_to_orig = ft.post_to_orig
-    replicas: List[int] = []
-    forward = [0] * n
-    stack = [root]
-    while stack:
-        p = stack.pop()
-        u = forward[p]
-        if first_child[p] < 0:
-            if u < demand[p]:
-                replicas.append(post_to_orig[p])
-            continue
-        U = u
-        src = absorb_from[p][u]
-        if src >= 0:
-            replicas.append(post_to_orig[p])
-            U = src
-        # Split U across children by unwinding the convolutions.
-        remaining = U
-        for child, arg in reversed(conv_args[p]):
-            take = arg[remaining]
-            assert take >= 0
-            forward[child] = take
-            remaining -= take
-            stack.append(child)
-        # ``remaining`` is the initial pool's zero element.
-        assert remaining == 0
-
-    # Client-level routing over the chosen replica set: guaranteed
-    # feasible by construction; resolved with the max-flow oracle so
-    # the returned placement carries full assignments.
-    from .feasibility import multiple_assignment
-
-    assign = multiple_assignment(instance, replicas)
-    if assign is None:  # pragma: no cover - contradicts DP feasibility
-        raise PolicyError("DP replica set failed flow verification")
-    used = set(replicas)
-    for (c, s) in assign:
-        used.add(s)
-    assignments: Dict[Tuple[int, int], int] = dict(assign)
-    return Placement(used, assignments)
+    ft = flat_tree(instance.tree)
+    folds: List[Optional[NodeFold]] = [None] * ft.n
+    fold(ft, instance.capacity, folds, range(ft.n))
+    return place(instance, ft, folds)

@@ -32,10 +32,8 @@ from __future__ import annotations
 import json
 import math
 import platform
-import random
 import sys
 import time
-from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -66,19 +64,6 @@ _REFERENCE_OF = {
     "single-nod": "single_nod_reference",
     "multiple-greedy": "multiple_greedy_reference",
 }
-
-#: Batch width per profile for the ``batch_throughput`` measurement.
-#: 64 is where the per-node array-op overhead is well amortised on the
-#: 220-node flagship — the regime a demand sweep actually runs in.
-_BATCH_SIZES = {"full": 64, "quick": 64, "smoke": 8}
-
-#: Fail-closed floor on the batched-vs-sequential speedup.  The flagship
-#: measures well above 3x; the gate sits lower so runner jitter cannot
-#: fail an honest build, while a real collapse of the array path
-#: (shape-bucket bug, silent per-instance fallback) still exits
-#: non-zero.  ``smoke`` instances are too small to gate.
-_BATCH_MIN_SPEEDUP = {"full": 2.0, "quick": 2.0}
-
 
 def _reference_fn(solver: str) -> Optional[Callable[[ProblemInstance], object]]:
     name = _REFERENCE_OF.get(solver)
@@ -124,8 +109,8 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
         raise ValueError(f"unknown bench profile {profile!r}")
 
     # The 220-node flagship: deep-ish ternary topology, W=30 — the
-    # regime where the DP tables are long enough for the monotone
-    # kernels to matter.
+    # regime where the DP tables are long enough for the kernels to
+    # matter.
     nod220 = random_tree(
         110, 110, capacity=30, dmax=None, policy=Policy.MULTIPLE,
         max_arity=3, seed=3,
@@ -186,74 +171,6 @@ def _time_best(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
         if elapsed < best:
             best = elapsed
     return best, result
-
-
-def _batch_variants(
-    inst: ProblemInstance, size: int, seed: int = 97
-) -> List[ProblemInstance]:
-    """``size`` same-shape demand variants of ``inst`` (deterministic).
-
-    Only the leaf request vector varies, so every variant lands in one
-    shape bucket of :func:`repro.algorithms.batched.solve_many` — the
-    demand-sweep situation the batched path exists for.
-    """
-    rng = random.Random(seed)
-    tree = inst.tree
-    out: List[ProblemInstance] = []
-    for _ in range(size):
-        reqs = [
-            max(1, r + rng.randint(-3, 3)) if r > 0 else 0
-            for r in tree._requests
-        ]
-        out.append(replace(inst, tree=tree.with_requests(reqs)))
-    return out
-
-
-def _bench_batch(
-    name: str, inst: ProblemInstance, profile: str, repeats: int
-) -> Dict:
-    """One ``batch_throughput`` snapshot entry for a flagship instance.
-
-    Times ``solve_many`` over a bucket of same-shape demand variants
-    against the equivalent sequential solver loop, records both as
-    instances/second, and checks the placements are identical.
-    """
-    from ..algorithms.batched import solve_many
-    from ..algorithms.multiple_nod_dp import multiple_nod_dp
-
-    size = _BATCH_SIZES.get(profile, 8)
-    # Best-of-3 at minimum: one batch run is ~100ms, and a single timing
-    # of a 3x-class ratio jitters enough to matter at the gate.
-    repeats = max(repeats, 3)
-    variants = _batch_variants(inst, size)
-    entry: Dict = {
-        "instance": name,
-        "solver": "multiple-nod-dp",
-        "batch_size": size,
-        "min_speedup": _BATCH_MIN_SPEEDUP.get(profile),
-    }
-    try:
-        # Warm both paths once (FlatTree compilation, kernel dispatch)
-        # so the timed runs measure solving, not caches filling.
-        seq_warm = [multiple_nod_dp(v) for v in variants]
-        bat_warm = solve_many(variants)
-        seq_s, _ = _time_best(
-            lambda: [multiple_nod_dp(v) for v in variants], repeats
-        )
-        bat_s, _ = _time_best(lambda: solve_many(variants), repeats)
-    except Exception as exc:  # noqa: BLE001 — recorded, not raised
-        entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        return entry
-    entry.update({
-        "status": "ok",
-        "sequential_s": seq_s,
-        "batched_s": bat_s,
-        "sequential_ips": size / seq_s if seq_s > 0 else None,
-        "batched_ips": size / bat_s if bat_s > 0 else None,
-        "speedup": seq_s / bat_s if bat_s > 0 else None,
-        "identical": seq_warm == bat_warm,
-    })
-    return entry
 
 
 def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
@@ -320,15 +237,6 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                     "identical": placement == ref_placement,
                 })
 
-    batch_entries: List[Dict] = []
-    for name, inst, solvers in corpus:
-        if (
-            "multiple-nod-dp" in solvers
-            and inst.policy is Policy.MULTIPLE
-            and not inst.has_distance_constraint
-        ):
-            batch_entries.append(_bench_batch(name, inst, profile, repeats))
-
     cache_after = flat_cache_stats()
     return {
         "schema": BENCH_SCHEMA_VERSION,
@@ -339,7 +247,6 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
         "calibration_s": calibration,
         "entries": entries,
         "comparisons": comparisons,
-        "batch_throughput": batch_entries,
         "flat_cache": {
             k: cache_after[k] - cache_before[k] for k in cache_after
         },
@@ -432,14 +339,11 @@ def snapshot_problems(snapshot: Dict) -> List[str]:
 
     Returns
     -------
-    One line per problem: solvers that errored while benching,
-    flat-vs-reference comparisons that were not bit-identical, and
-    ``batch_throughput`` entries that errored, diverged from the
-    sequential solver, or fell below their pinned ``min_speedup``
-    floor.  Empty means the snapshot itself is healthy;
-    ``repro bench`` exits non-zero otherwise, so a solver that starts
-    *crashing* on the pinned corpus — or a batched path that silently
-    stops vectorising — can never slip through as "no regression".
+    One line per problem: solvers that errored while benching, and
+    flat-vs-reference comparisons that were not bit-identical.  Empty
+    means the snapshot itself is healthy; ``repro bench`` exits
+    non-zero otherwise, so a solver that starts *crashing* on the
+    pinned corpus can never slip through as "no regression".
     """
     problems: List[str] = []
     for e in snapshot.get("entries", []):
@@ -454,26 +358,6 @@ def snapshot_problems(snapshot: Dict) -> List[str]:
                 f"{c['solver']} on {c['instance']} diverged from its "
                 "object-graph reference"
             )
-    for b in snapshot.get("batch_throughput", []):
-        if b.get("status") != "ok":
-            problems.append(
-                f"batched solve_many errored on {b['instance']}: "
-                f"{b.get('error', 'unknown error')}"
-            )
-            continue
-        if not b.get("identical"):
-            problems.append(
-                f"batched solve_many on {b['instance']} diverged from "
-                "the sequential solver"
-            )
-        floor = b.get("min_speedup")
-        speedup = b.get("speedup")
-        if floor is not None and (speedup is None or speedup < floor):
-            problems.append(
-                f"batched solve_many on {b['instance']}: speedup "
-                f"{speedup if speedup is None else f'{speedup:.2f}x'} "
-                f"below the {floor:.1f}x floor"
-            )
     return problems
 
 
@@ -481,7 +365,7 @@ def compare_snapshots(
     current: Dict,
     baseline: Dict,
     threshold_pct: float = 25.0,
-    min_wall_s: float = 0.002,
+    min_wall_s: float = 0.001,
 ) -> Tuple[List[str], List[str]]:
     """Compare two snapshots; report per-solver regressions.
 
@@ -498,7 +382,8 @@ def compare_snapshots(
         baseline's by more than this percentage.
     min_wall_s:
         Entries faster than this are never flagged — sub-millisecond
-        timings are jitter, not signal.
+        timings are jitter, not signal.  The quick flagship's
+        ``multiple-nod-dp`` entry (~2 ms) must stay above it.
 
     Returns
     -------
@@ -507,8 +392,8 @@ def compare_snapshots(
     pass).  A (instance, solver) pair the baseline measured ``ok``
     that is missing or no longer ``ok`` in ``current`` counts as a
     regression too — the gate fails closed, it cannot be satisfied by
-    a solver that stopped running.  ``batch_throughput`` entries are
-    compared the same way on their normalised ``batched_s``.
+    a solver that stopped running.  A ``batch_throughput`` section,
+    which older snapshots carry, is ignored.
     """
     cal_cur = float(current.get("calibration_s") or 1.0)
     cal_base = float(baseline.get("calibration_s") or 1.0)
@@ -548,38 +433,6 @@ def compare_snapshots(
         regressions.append(line)
         lines.append(line)
 
-    base_batch = {
-        b["instance"]: b
-        for b in baseline.get("batch_throughput", [])
-        if b.get("status") == "ok"
-    }
-    seen_batch = set()
-    for b in current.get("batch_throughput", []):
-        if b.get("status") != "ok":
-            continue
-        bb = base_batch.get(b["instance"])
-        if bb is None:
-            continue
-        seen_batch.add(b["instance"])
-        norm_cur = b["batched_s"] / cal_cur
-        norm_base = bb["batched_s"] / cal_base
-        delta_pct = 100.0 * (norm_cur / norm_base - 1.0) if norm_base > 0 else 0.0
-        line = (
-            f"{b['instance']:<16} {'solve_many/batch':<18} "
-            f"{b['batched_s'] * 1e3:8.2f}ms vs {bb['batched_s'] * 1e3:8.2f}ms "
-            f"(normalised {delta_pct:+6.1f}%)"
-        )
-        if delta_pct > threshold_pct and b["batched_s"] >= min_wall_s:
-            line += "  << REGRESSION"
-            regressions.append(line)
-        lines.append(line)
-    for name in sorted(base_batch.keys() - seen_batch):
-        line = (
-            f"{name:<16} {'solve_many/batch':<18} measured ok in the "
-            "baseline but missing or not ok now  << REGRESSION"
-        )
-        regressions.append(line)
-        lines.append(line)
     return lines, regressions
 
 
@@ -615,27 +468,6 @@ def render_bench_table(snapshot: Dict) -> str:
                 f"{c['instance']:<16} {c['solver']:<18} "
                 f"{c['flat_s'] * 1e3:>8.2f}ms {c['reference_s'] * 1e3:>8.2f}ms "
                 f"{c['speedup']:>7.2f}x {'yes' if c['identical'] else 'NO':>9}"
-            )
-    batch = snapshot.get("batch_throughput", [])
-    if batch:
-        out.append("")
-        out.append(
-            f"{'instance':<16} {'batch':>6} {'seq ips':>9} {'batch ips':>10} "
-            f"{'speedup':>8} {'identical':>9}"
-        )
-        for b in batch:
-            if b.get("status") != "ok":
-                out.append(
-                    f"{b['instance']:<16} {b.get('batch_size', 0):>6} "
-                    f"{'—':>9} {'—':>10} {'—':>8} {'—':>9}  "
-                    f"({b.get('error', 'error')})"
-                )
-                continue
-            out.append(
-                f"{b['instance']:<16} {b['batch_size']:>6} "
-                f"{b['sequential_ips']:>9.1f} {b['batched_ips']:>10.1f} "
-                f"{b['speedup']:>7.2f}x "
-                f"{'yes' if b['identical'] else 'NO':>9}"
             )
     cache = snapshot.get("flat_cache")
     if cache:

@@ -2,7 +2,7 @@
 
 Both NoD solvers in this repository are bottom-up folds: each node's
 contribution is a pure function of its own data and what its children
-hand up (DP tables for ``multiple-nod-dp``, entry bundles for
+hand up (DP threshold rows for ``multiple-nod-dp``, entry bundles for
 ``single-nod``).  That makes them incrementally recomputable: cache the
 per-node fold results keyed by the node's *subtree fingerprint*
 (:mod:`repro.dynamic.fingerprints`), and after an event only the nodes
@@ -36,16 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..algorithms.multiple_nod_dp import NodeFold, fold, place
 from ..core.arrays import flat_tree
-from ..core.kernels import (
-    absorb_step,
-    leaf_table,
-    min_plus_mono,
-    prefix_fit,
-    stable_argsort,
-)
 from ..core.errors import InfeasibleInstanceError, PolicyError, ReproError
 from ..core.instance import ProblemInstance
+from ..core.kernels import prefix_fit, stable_argsort
 from ..core.placement import Placement
 from ..core.policies import Policy
 from .fingerprints import instance_salt, subtree_fingerprints
@@ -56,8 +51,6 @@ __all__ = [
     "IncrementalNodDP",
     "IncrementalSingleNod",
 ]
-
-_INF = float("inf")
 
 
 class IncrementalUnsupported(ReproError):
@@ -93,10 +86,13 @@ def _check_nod(instance: ProblemInstance, who: str) -> None:
 class IncrementalNodDP:
     """Memoized exact Multiple-NoD DP with forbidden-host support.
 
-    The per-node cache stores the DP table ``g_v`` plus the convolution
-    and absorb bookkeeping reconstruction needs.  ``solve`` may be
-    called repeatedly with mutated instances of the *same topology*
-    (node set and parent relation); a topology change clears the cache.
+    The per-node cache stores the node's fold — its threshold row plus
+    the pool rows reconstruction reads — from
+    :func:`repro.algorithms.multiple_nod_dp.fold`; the placement comes
+    from the same :func:`~repro.algorithms.multiple_nod_dp.place` as a
+    cold solve.  ``solve`` may be called repeatedly with mutated
+    instances of the *same topology* (node set and parent relation); a
+    topology change clears the cache.
     """
 
     name = "multiple-nod-dp"
@@ -104,8 +100,8 @@ class IncrementalNodDP:
 
     def __init__(self) -> None:
         self._topology: Optional[Tuple[int, ...]] = None
-        # node -> (fingerprint, g, conv_args, absorb_from)
-        self._memo: Dict[int, tuple] = {}
+        # node -> (fingerprint, fold)
+        self._memo: Dict[int, Tuple[bytes, NodeFold]] = {}
 
     # ------------------------------------------------------------------
     def solve(
@@ -125,7 +121,9 @@ class IncrementalNodDP:
         Returns
         -------
         ``(placement, stats)`` — the optimal placement among those with
-        no replica on a failed host, and the reuse statistics.
+        no replica on a failed host, and the reuse statistics.  With no
+        failed host the placement equals
+        :func:`~repro.algorithms.multiple_nod_dp.multiple_nod_dp`'s.
 
         Raises
         ------
@@ -140,7 +138,6 @@ class IncrementalNodDP:
             raise PolicyError("IncrementalNodDP solves Multiple instances")
         tree = instance.tree
         W = instance.capacity
-        root = tree.root
         n = len(tree)
 
         topology = tuple(tree.parent(v) for v in range(n))
@@ -148,159 +145,33 @@ class IncrementalNodDP:
             self._memo.clear()
             self._topology = topology
 
-        # The re-fold runs on the flat substrate: post positions are
-        # children-first, per-node data are contiguous array reads, and
-        # depth / subtree demand come precompiled with the layout.  The
-        # memo stays keyed by *original* node ids — that is what the
-        # fingerprints key on, and it keeps cached entries valid across
-        # the fresh Tree objects each event produces.
+        # The re-fold runs on the flat substrate, post positions
+        # children-first.  The memo stays keyed by *original* node ids
+        # — that is what the fingerprints key on, and it keeps cached
+        # folds valid across the fresh Tree objects each event produces.
+        # Cached folds name children by post position, which the
+        # topology fixes.
         ft = flat_tree(tree)
         post_to_orig = ft.post_to_orig
-        depth = ft.depth
-        demand = ft.demand
-        sdem = ft.subtree_demand
-        first_child = ft.first_child
-        next_sibling = ft.next_sibling
-
         fps = subtree_fingerprints(tree, instance_salt(instance), failed)
 
-        reused = recomputed = 0
         memo = self._memo
+        folds: List[Optional[NodeFold]] = [None] * n
+        dirty: List[int] = []
         for p in range(n):
             v = post_to_orig[p]
             cached = memo.get(v)
             if cached is not None and cached[0] == fps[v]:
-                reused += 1
-                continue
-            recomputed += 1
-            u_cap = min(sdem[p], W * depth[p])
-            if first_child[p] < 0:
-                r = demand[p]
-                if v in failed:
-                    # A failed leaf cannot serve itself: everything must
-                    # be forwarded to (non-failed) ancestors.
-                    table: List[float] = [
-                        0.0 if u >= r else _INF for u in range(u_cap + 1)
-                    ]
-                else:
-                    table = leaf_table(r, u_cap, W)
-                memo[v] = (fps[v], table, None, None)
-                continue
-            pool_cap = min(sdem[p], W * (depth[p] + 1))
-            pool: List[float] = [0.0]
-            args: List[Tuple[int, List[int]]] = []
-            c = first_child[p]
-            while c >= 0:
-                child = post_to_orig[c]
-                pool, arg = min_plus_mono(memo[child][1], pool, pool_cap)
-                args.append((child, arg))
-                c = next_sibling[c]
-            # Absorb branch: a replica at v takes 1..W of the pool —
-            # unless v is a failed host, which loses the branch.
-            table, chose = absorb_step(pool, u_cap, W, can_host=v not in failed)
-            memo[v] = (fps[v], table, args, chose)
-
-        stats = IncrementalStats(n, reused, recomputed)
-        g_root = memo[root][1]
-        if not g_root or g_root[0] == _INF:
-            raise InfeasibleInstanceError(
-                "demand cannot be covered"
-                + (" without the failed hosts" if failed else "")
-            )
-
-        # Reconstruction: identical to the from-scratch DP, reading the
-        # (cached or fresh) bookkeeping, plus the per-replica absorb
-        # amount the direct routing below consumes.
-        replicas: List[int] = []
-        absorb: Dict[int, int] = {}
-        forward: Dict[int, int] = {root: 0}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            u = forward[v]
-            if tree.is_leaf(v):
-                r = tree.requests(v)
-                if u < r:
-                    replicas.append(v)
-                    absorb[v] = r - u
-                continue
-            _fp, _table, args, chose = memo[v]
-            U = u
-            src = chose[u]
-            if src >= 0:
-                replicas.append(v)
-                absorb[v] = src - u
-                U = src
-            remaining = U
-            for child, arg in reversed(args):
-                take = arg[remaining]
-                assert take >= 0
-                forward[child] = take
-                remaining -= take
-                stack.append(child)
-            assert remaining == 0
-
-        assignments = self._route(ft, absorb)
-        return Placement(replicas, assignments), stats
-
-    @staticmethod
-    def _route(ft, absorb: Dict[int, int]) -> Dict[Tuple[int, int], int]:
-        """Direct client→replica routing from the DP's absorb amounts.
-
-        The DP already fixed how many units each replica takes and how
-        many units cross every parent edge; since any ancestor may
-        serve any split of a descendant's demand under Multiple-NoD, a
-        single bottom-up pass over the flat post-order suffices — no
-        max-flow oracle.  Pending demand travels up as
-        ``[client, amount]`` pairs and each replica consumes its absorb
-        amount FIFO, so routing is deterministic and
-        O(clients × depth) worst case.
-
-        Parameters
-        ----------
-        ft:
-            The instance tree's :class:`~repro.core.arrays.FlatTree`.
-        absorb:
-            Units each replica consumes, keyed by original node id.
-
-        Returns
-        -------
-        The ``(client, server) -> amount`` assignment map (original
-        node ids).
-        """
-        assignments: Dict[Tuple[int, int], int] = {}
-        post_to_orig = ft.post_to_orig
-        first_child = ft.first_child
-        next_sibling = ft.next_sibling
-        demand = ft.demand
-        pending: List[Optional[List[List[int]]]] = [None] * ft.n
-        for p in range(ft.n):
-            v = post_to_orig[p]
-            if first_child[p] < 0:
-                r = demand[p]
-                inc = [[v, r]] if r > 0 else []
+                folds[p] = cached[1]
             else:
-                inc = []
-                c = first_child[p]
-                while c >= 0:
-                    inc.extend(pending[c])
-                    pending[c] = None
-                    c = next_sibling[c]
-            need = absorb.get(v, 0)
-            k = 0
-            while need > 0:
-                client, amount = inc[k]
-                take = min(amount, need)
-                assignments[(client, v)] = (
-                    assignments.get((client, v), 0) + take
-                )
-                inc[k][1] -= take
-                need -= take
-                if inc[k][1] == 0:
-                    k += 1
-            pending[p] = [e for e in inc if e[1] > 0]
-        assert not pending[ft.root], "DP forwarded demand past the root"
-        return assignments
+                dirty.append(p)
+        fold(ft, W, folds, dirty, failed)
+        for p in dirty:
+            v = post_to_orig[p]
+            memo[v] = (fps[v], folds[p])
+
+        placement = place(instance, ft, folds, failed)
+        return placement, IncrementalStats(n, n - len(dirty), len(dirty))
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,10 +28,6 @@ from .result import SolveResult, Status
 from .store import ResultStore
 
 __all__ = ["SweepTask", "SweepOutcome", "run_sweep", "tasks_for_corpus"]
-
-#: Solver whose sweep tasks are vectorised through
-#: :func:`repro.algorithms.batched.solve_many` instead of one-by-one.
-_BATCH_SOLVER = "multiple-nod-dp"
 
 
 @dataclass(frozen=True)
@@ -123,51 +118,6 @@ def _run_task(task: SweepTask) -> SolveResult:
         signal.signal(signal.SIGALRM, old_handler)
 
 
-def _run_batched_tasks(tasks: Sequence[SweepTask]) -> List[SolveResult]:
-    """Run same-solver DP tasks as shape-bucketed array programs.
-
-    Rows are exactly what :func:`registry.solve` would produce for each
-    task (same statuses, costs, bounds and replica lists — the batched
-    path is bit-identical and outcomes go through the registry's own
-    normaliser); only ``wall_time`` differs, carrying the amortised
-    per-instance share of the batch.
-    """
-    from ..algorithms.batched import solve_many as batched_solve
-
-    results: List[SolveResult] = []
-    instances = []
-    runnable: List[SweepTask] = []
-    for task in tasks:
-        try:
-            instance = make_instance(task.spec)
-        except Exception as exc:  # noqa: BLE001 — a bad spec is a task outcome
-            results.append(SolveResult(
-                solver=task.solver, instance=task.instance_id, seed=task.seed,
-                status=Status.ERROR,
-                error=f"spec error — {type(exc).__name__}: {exc}",
-            ))
-            continue
-        reason = registry.get_solver(task.solver).inapplicable_reason(instance)
-        if reason is not None:
-            results.append(SolveResult(
-                solver=task.solver, instance=task.instance_id, seed=task.seed,
-                status=Status.INAPPLICABLE, error=reason,
-            ))
-            continue
-        instances.append(instance)
-        runnable.append(task)
-    if instances:
-        t0 = time.perf_counter()
-        outcomes = batched_solve(instances, return_exceptions=True)
-        per_instance = (time.perf_counter() - t0) / len(instances)
-        for task, instance, outcome in zip(runnable, instances, outcomes):
-            results.append(registry.result_from_outcome(
-                task.solver, instance, outcome, per_instance,
-                instance_id=task.instance_id, seed=task.seed,
-            ))
-    return results
-
-
 def tasks_for_corpus(
     specs: Sequence[Mapping],
     solvers: Optional[Sequence[str]] = None,
@@ -209,7 +159,6 @@ def run_sweep(
     resume: bool = True,
     retry_statuses: Tuple[str, ...] = (Status.ERROR,),
     on_result: Optional[Callable[[SolveResult], None]] = None,
-    batch: bool = True,
 ) -> SweepOutcome:
     """Run a sweep, streaming results into ``store`` as they complete.
 
@@ -224,12 +173,6 @@ def run_sweep(
     them too.  ``workers>1`` fans tasks over a ``fork`` pool — solver
     registrations and test-registered solvers are inherited by the
     children.
-
-    ``batch=True`` (the default) peels off pending Multiple-NoD DP
-    tasks without a timeout and runs them through the vectorised
-    :func:`repro.algorithms.batched.solve_many` — one array program per
-    tree shape, bit-identical rows — before the remaining tasks are
-    dispatched as usual.
     """
     outcome = SweepOutcome()
     done: dict = {}
@@ -252,21 +195,6 @@ def run_sweep(
             store.append(res)
         if on_result is not None:
             on_result(res)
-
-    if batch:
-        # SIGALRM timeouts can't interrupt individual solves inside one
-        # array program, so timeout-carrying tasks stay sequential.
-        batchable = [
-            t for t in pending
-            if t.solver == _BATCH_SOLVER and t.timeout is None
-        ]
-        if len(batchable) >= 2:
-            pending = [
-                t for t in pending
-                if not (t.solver == _BATCH_SOLVER and t.timeout is None)
-            ]
-            for res in _run_batched_tasks(batchable):
-                _collect(res)
 
     if workers <= 1 or len(pending) <= 1:
         for task in pending:

@@ -281,11 +281,9 @@ def result_from_outcome(
     """Normalise a solver outcome produced out-of-band into a result.
 
     ``outcome`` is either the :class:`Placement` the solver returned or
-    the exception it raised.  The status mapping and the checker
-    validation are exactly those of :func:`solve`, so batch paths that
-    obtain placements elsewhere — the service façade's batched
-    ``solve_many`` and the sweep runner's batched leg — report
-    identically to a direct registry call.
+    the exception it raised.  :func:`solve` reports through it, so a
+    caller that obtains a placement elsewhere gets the same status
+    mapping and checker validation as a direct registry call.
     """
     iid = (
         instance_id

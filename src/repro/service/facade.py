@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
 from ..core.bounds import lower_bound
 from ..core.instance import ProblemInstance
 from ..core.placement import Placement
-from ..core.policies import Policy
 from ..core.validation import placement_violations
 from ..instances.io import (
     canonical_json,
@@ -52,7 +51,7 @@ from ..instances.io import (
     placement_to_dict,
 )
 from ..runner import registry
-from ..runner.result import SolveResult, Status
+from ..runner.result import Status
 from ..runner.registry import UnknownSolverError
 from ..storage import (
     CachePut,
@@ -84,10 +83,6 @@ class UnknownSessionError(KeyError):
 
 # Deterministic outcomes worth caching: re-solving cannot change them.
 _CACHEABLE = (Status.OK, Status.INFEASIBLE)
-
-#: The solver whose solves :meth:`PlacementService.solve_many` batches
-#: through the array path (:mod:`repro.algorithms.batched`).
-_BATCH_SOLVER = "multiple-nod-dp"
 
 _STATUS_TO_CODE = {
     Status.INFEASIBLE: ErrorCode.INFEASIBLE,
@@ -225,12 +220,7 @@ class PlacementService:
         self.close()
 
     # -- the core call -------------------------------------------------
-    def solve(
-        self,
-        request: SolveRequest,
-        *,
-        _precomputed: Optional[SolveResult] = None,
-    ) -> SolveResponse:
+    def solve(self, request: SolveRequest) -> SolveResponse:
         """Answer one request; request-level failures never raise.
 
         Parameters
@@ -280,7 +270,7 @@ class PlacementService:
             self._record(response)
             return response
 
-        response = self._compute(request, fp, t0, _precomputed)
+        response = self._compute(request, fp, t0)
         if response.status in _CACHEABLE:
             # Cache the full response (assignments included) so later
             # hits can honour include_assignments either way.  The
@@ -306,11 +296,7 @@ class PlacementService:
         return response
 
     def _compute(
-        self,
-        request: SolveRequest,
-        fp: str,
-        t0: float,
-        precomputed: Optional[SolveResult] = None,
+        self, request: SolveRequest, fp: str, t0: float
     ) -> SolveResponse:
         diag = Diagnostics(fingerprint=fp)
         try:
@@ -326,21 +312,15 @@ class PlacementService:
         diag.selection = "explicit" if request.solver is not None else "auto"
         diag.selection_reason = reason
 
-        if precomputed is not None and precomputed.solver == spec.name:
-            # A batched solve_many already ran this request's solver;
-            # the result was normalised through the same registry path
-            # (checker validation included), so reuse it verbatim.
-            result = precomputed
-        else:
-            budget = request.budget
-            if budget is None:
-                budget = self._default_budget
-            result = registry.solve(
-                spec.name,
-                request.instance,
-                budget=budget,
-                keep_placement=True,
-            )
+        budget = request.budget
+        if budget is None:
+            budget = self._default_budget
+        result = registry.solve(
+            spec.name,
+            request.instance,
+            budget=budget,
+            keep_placement=True,
+        )
 
         diag.solve_ms = result.wall_time * 1e3
         diag.counters = dict(result.counters)
@@ -404,73 +384,8 @@ class PlacementService:
     def solve_many(
         self, requests: Iterable[SolveRequest]
     ) -> List[SolveResponse]:
-        """Solve a batch, vectorising same-shape DP solves.
-
-        Requests that would run the Multiple-NoD DP and are not already
-        cached are solved first as one array program
-        (:mod:`repro.algorithms.batched` — one NumPy pass per shape
-        bucket, bit-identical placements).  Then every request, in
-        order, goes through the ordinary :meth:`solve` path with its
-        precomputed result, so responses, cache probing, checker
-        validation, WAL ``CachePut`` records and stats are exactly
-        those of a sequential loop.  Cache hits never reach the batch,
-        and of identical requests in one batch only the first misses
-        the cache.
-        """
-        reqs = list(requests)
-        if len(reqs) <= 1:
-            return [self.solve(r) for r in reqs]
-        pre: List[Optional[SolveResult]] = [None] * len(reqs)
-        batch_idx = [
-            i
-            for i, r in enumerate(reqs)
-            if self._batchable(r) and not self._is_cached(r)
-        ]
-        if len(batch_idx) >= 2:
-            for i, result in zip(
-                batch_idx, self._solve_batched([reqs[i] for i in batch_idx])
-            ):
-                pre[i] = result
-        return [self.solve(r, _precomputed=p) for r, p in zip(reqs, pre)]
-
-    def _batchable(self, request: SolveRequest) -> bool:
-        """True iff :meth:`solve` would run the batchable DP solver."""
-        try:
-            spec, _reason = select_solver(request.instance, request.solver)
-        except (UnknownSolverError, NoApplicableSolverError):
-            return False
-        return (
-            spec.name == _BATCH_SOLVER
-            and request.instance.policy is Policy.MULTIPLE
-            and not request.instance.has_distance_constraint
-        )
-
-    def _is_cached(self, request: SolveRequest) -> bool:
-        inst_fp = instance_fingerprint(request.instance)
-        return combine_fingerprint(
-            inst_fp, request.solver, request.budget, request.tenant
-        ) in self._cache
-
-    def _solve_batched(
-        self, batch: List[SolveRequest]
-    ) -> List[SolveResult]:
-        """Registry-normalised results for a batch of DP requests."""
-        from ..algorithms.batched import solve_many as batched_solve
-
-        instances = [r.instance for r in batch]
-        t0 = time.perf_counter()
-        outcomes = batched_solve(instances, return_exceptions=True)
-        per_instance = (time.perf_counter() - t0) / len(batch)
-        return [
-            registry.result_from_outcome(
-                _BATCH_SOLVER,
-                inst,
-                outcome,
-                per_instance,
-                keep_placement=True,
-            )
-            for inst, outcome in zip(instances, outcomes)
-        ]
+        """Solve a batch: :meth:`solve` on every request, in order."""
+        return [self.solve(r) for r in requests]
 
     def check(
         self, instance: ProblemInstance, placement: Placement

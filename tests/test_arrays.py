@@ -10,8 +10,9 @@ Two layers of guarantees:
   *exactly* the placements of their preserved object-graph references
   (:mod:`repro.algorithms.reference`) over the randomized
   ``tree_instances`` strategy — same replica sets, same assignments,
-  tie-breaking included.  The monotone DP kernels are additionally
-  checked against the general quadratic kernel on monotone inputs.
+  tie-breaking included.  The DP's threshold-row kernels are
+  additionally checked against the general quadratic kernels on
+  monotone inputs.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from hypothesis import strategies as st
 
 from repro import Policy, Tree, TreeBuilder
 from repro.algorithms.greedy import multiple_greedy
-from repro.algorithms.multiple_nod_dp import (
-    _absorb_step,
-    _min_plus,
-    _min_plus_mono,
-    multiple_nod_dp,
-)
+from repro.algorithms.multiple_nod_dp import multiple_nod_dp
 from repro.algorithms.reference import (
     multiple_greedy_reference,
     multiple_nod_dp_reference,
@@ -34,7 +30,14 @@ from repro.algorithms.reference import (
 )
 from repro.algorithms.single_nod import single_nod
 from repro.core.arrays import flat_cache_stats, flat_tree
+from repro.core.kernels import absorb
 from tests.conftest import tree_instances
+from tests.test_kernel_conformance import (
+    check_absorb,
+    check_min_plus,
+    row_from_table,
+    table_from_row,
+)
 
 COMMON = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=60
@@ -114,7 +117,7 @@ def test_flat_tree_is_cached_per_tree():
 
 
 # ----------------------------------------------------------------------
-# Monotone DP kernels vs the general quadratic kernel
+# Threshold-row DP kernels vs the general quadratic kernels
 # ----------------------------------------------------------------------
 def _monotone_tables(draw_counts):
     """Build a non-increasing table with an optional infinite prefix."""
@@ -136,38 +139,18 @@ _mono_tables = st.tuples(
 @settings(**COMMON)
 @given(_mono_tables, _mono_tables, st.integers(1, 40))
 def test_min_plus_mono_equals_general_kernel(a, b, cap):
-    out_fast, arg_fast = _min_plus_mono(a, b, cap)
-    out_ref, arg_ref = _min_plus(a, b, cap)
-    assert out_fast == out_ref
-    assert arg_fast == arg_ref
+    check_min_plus(a, b, cap)
 
 
 @settings(**COMMON)
 @given(_mono_tables, st.integers(0, 30), st.integers(1, 8))
 def test_absorb_step_equals_quadratic_scan(pool, u_cap, W):
-    table, chose = _absorb_step(pool, u_cap, W)
-    # The original object-graph absorb scan, verbatim.
-    ref_table = [_INF] * (u_cap + 1)
-    ref_chose = [-1] * (u_cap + 1)
-    for u in range(u_cap + 1):
-        if u < len(pool) and pool[u] < ref_table[u]:
-            ref_table[u] = pool[u]
-            ref_chose[u] = -1
-        hi = min(u + W, len(pool) - 1)
-        for U in range(u + 1, hi + 1):
-            val = pool[U] + 1.0
-            if val < ref_table[u]:
-                ref_table[u] = val
-                ref_chose[u] = U
-    assert table == ref_table
-    assert chose == ref_chose
+    check_absorb(pool, u_cap, W, True)
 
 
 def test_absorb_step_forbidden_host_truncates_pool():
-    pool = [3.0, 2.0, 1.0]
-    table, chose = _absorb_step(pool, 4, W=2, can_host=False)
-    assert table == [3.0, 2.0, 1.0, _INF, _INF]
-    assert chose == [-1] * 5
+    row = absorb(row_from_table([3.0, 2.0, 1.0]), 4, W=2, can_host=False)
+    assert table_from_row(row, 5) == [3.0, 2.0, 1.0, _INF, _INF]
 
 
 # ----------------------------------------------------------------------

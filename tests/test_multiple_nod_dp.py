@@ -14,7 +14,12 @@ from repro import (
 )
 from repro.algorithms import exact_multiple, multiple_bin
 from repro.core import lower_bound
+from repro.core.errors import InfeasibleInstanceError
+from repro.dynamic import IncrementalNodDP
 from repro.instances import random_binary_tree, random_tree
+from repro.runner import registry
+from repro.runner.result import Status
+from repro.service import ErrorCode, PlacementService, SolveRequest
 
 
 class TestPreconditions:
@@ -79,13 +84,54 @@ class TestHandInstances:
 
     def test_oversized_beyond_path_capacity(self):
         # Demand exceeding the whole path capacity is infeasible; the
-        # DP cap makes g_root(0) unreachable -> PolicyError (defensive).
+        # DP cap makes g_root(0) unreachable.
         b = TreeBuilder()
         r = b.add_root()
         b.add(r, delta=1.0, requests=11)  # path capacity 2*5 = 10
         inst = ProblemInstance(b.build(), 5, None, Policy.MULTIPLE)
-        with pytest.raises(Exception):
+        with pytest.raises(InfeasibleInstanceError):
             multiple_nod_dp(inst)
+
+
+def _over_path_capacity() -> ProblemInstance:
+    """A root and one client of demand 30 with W=10: the two servers on
+    the client's path hold only 20."""
+    b = TreeBuilder()
+    r = b.add_root()
+    b.add(r, delta=1.0, requests=30)
+    return ProblemInstance(b.build(), 10, None, Policy.MULTIPLE)
+
+
+class TestInfeasible:
+    """An infeasible instance is reported infeasible at every level,
+    as ``exact`` and the incremental DP report it — not inapplicable."""
+
+    def test_solver_raises_infeasible(self):
+        inst = _over_path_capacity()
+        with pytest.raises(InfeasibleInstanceError):
+            multiple_nod_dp(inst)
+        with pytest.raises(InfeasibleInstanceError):
+            IncrementalNodDP().solve(inst)
+
+    def test_registry_status_is_infeasible(self):
+        inst = _over_path_capacity()
+        result = registry.solve("multiple-nod-dp", inst)
+        assert result.status == Status.INFEASIBLE
+        assert result.error.startswith("InfeasibleInstanceError")
+        assert registry.solve("exact", inst).status == Status.INFEASIBLE
+
+    def test_service_caches_the_infeasible_outcome(self):
+        request = SolveRequest(
+            instance=_over_path_capacity(), solver="multiple-nod-dp"
+        )
+        with PlacementService() as svc:
+            first = svc.solve(request)
+            again = svc.solve(request)
+        assert first.status == Status.INFEASIBLE
+        assert first.error.code == ErrorCode.INFEASIBLE
+        assert not first.diagnostics.cache_hit
+        assert again.diagnostics.cache_hit
+        assert again.status == Status.INFEASIBLE
 
 
 class TestCrossValidation:

@@ -19,11 +19,12 @@ from repro import (
     single_nod_bestfit,
     single_push,
 )
-from repro.algorithms.multiple_nod_dp import _min_plus
 from repro.core import preprocess
+from repro.core.kernels import conv_arg, min_plus
 from repro.simulate import repair_placement
 
 from tests.conftest import tree_instances
+from tests.test_kernel_conformance import row_from_table, table_from_row
 
 COMMON = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=40
@@ -103,10 +104,13 @@ def test_push_never_worse_and_valid(inst):
     st.integers(1, 12),
 )
 def test_min_plus_convolution_correct(a_costs, b_costs, cap):
-    """Brute-force check of the DP's min-plus convolution kernel."""
-    a = [float(x) for x in a_costs]
-    b = [float(x) for x in b_costs]
-    out, arg = _min_plus(a, b, cap)
+    """Brute-force check of the DP's min-plus convolution kernel on
+    non-increasing tables (the shape of every DP table)."""
+    a = [float(x) for x in sorted(a_costs, reverse=True)]
+    b = [float(x) for x in sorted(b_costs, reverse=True)]
+    ra, rb = row_from_table(a), row_from_table(b)
+    out = table_from_row(min_plus(ra, rb, cap))
+    assert len(out) == min(len(a) + len(b) - 1, cap + 1)
     for U in range(len(out)):
         brute = min(
             (
@@ -118,6 +122,6 @@ def test_min_plus_convolution_correct(a_costs, b_costs, cap):
         )
         assert out[U] == brute
         if out[U] != float("inf"):
-            j = arg[U]
-            assert j is not None
+            j = conv_arg(ra, rb, U, int(out[U]))
+            assert j >= 0
             assert a[j] + b[U - j] == out[U]

@@ -20,6 +20,14 @@ from repro.runner import (
 FAST = ["single-gen", "greedy-packing", "local"]
 
 
+def _multi_nod_spec(seed):
+    return {
+        "kind": "random_tree", "name": f"multi{seed}", "n_internal": 4,
+        "n_clients": 8, "capacity": 10, "dmax": None,
+        "policy": "multiple", "seed": seed,
+    }
+
+
 def _star_spec(name="tiny", seed=0):
     return {
         "name": name, "kind": "star", "n_clients": 4,
@@ -98,6 +106,23 @@ class TestRunSweep:
         out = run_sweep(tasks, workers=2, resume=False)
         assert [r.status for r in out.results] == ["timeout", "timeout"]
 
+    def test_timed_dp_tasks_run_beside_a_timeout(self, sleepy_solver):
+        # DP tasks with and without a timeout share one sweep with a
+        # task SIGALRM must interrupt; each keeps its own status.
+        tasks = [
+            SweepTask(solver="multiple-nod-dp", spec=_multi_nod_spec(0),
+                      timeout=30.0),
+            SweepTask(solver="multiple-nod-dp", spec=_multi_nod_spec(1)),
+            SweepTask(solver="multiple-nod-dp", spec=_multi_nod_spec(2)),
+            SweepTask(solver=sleepy_solver, spec=_multi_nod_spec(3),
+                      timeout=0.2),
+        ]
+        out = run_sweep(tasks, workers=1)
+        by_key = {f"{r.instance}@{r.seed}::{r.solver}": r for r in out.results}
+        assert by_key[f"multi3@3::{sleepy_solver}"].status == "timeout"
+        for s in range(3):
+            assert by_key[f"multi{s}@{s}::multiple-nod-dp"].status == "ok"
+
     def test_bad_spec_is_an_error_row(self):
         task = SweepTask(solver="single-gen", spec={"name": "x", "kind": "no-such"})
         out = run_sweep([task], workers=1)
@@ -175,63 +200,3 @@ class TestResumability:
         out = run_sweep(tasks, workers=1, store=store, resume=False)
         assert out.n_run == len(tasks)
         assert len(store) == 2 * len(tasks)
-
-
-def _multi_nod_spec(seed):
-    return {
-        "kind": "random_tree", "name": f"multi{seed}", "n_internal": 4,
-        "n_clients": 8, "capacity": 10, "dmax": None,
-        "policy": "multiple", "seed": seed,
-    }
-
-
-class TestBatchedSweep:
-    """``run_sweep(batch=True)`` — the vectorised DP fast path."""
-
-    @staticmethod
-    def _rows(outcome):
-        """Row content minus wall_time (amortised on the batched path)."""
-        return sorted(
-            (
-                r.solver, r.instance, r.seed, r.status, r.n_replicas,
-                r.lower_bound, tuple(r.replicas or ()), r.error,
-            )
-            for r in outcome.results
-        )
-
-    def test_batched_rows_equal_sequential_rows(self):
-        specs = [_multi_nod_spec(s) for s in range(4)]
-        tasks = tasks_for_corpus(specs, ["multiple-nod-dp"])
-        assert len(tasks) == 4
-        batched = run_sweep(tasks, workers=1, batch=True)
-        sequential = run_sweep(tasks, workers=1, batch=False)
-        assert batched.n_run == sequential.n_run == 4
-        assert self._rows(batched) == self._rows(sequential)
-
-    def test_timeout_tasks_stay_on_the_sequential_path(self, sleepy_solver):
-        # A timeout-carrying DP task cannot be interrupted inside an
-        # array program, so batch=True must leave it to SIGALRM.
-        tasks = [
-            SweepTask(solver="multiple-nod-dp", spec=_multi_nod_spec(0),
-                      timeout=30.0),
-            SweepTask(solver="multiple-nod-dp", spec=_multi_nod_spec(1)),
-            SweepTask(solver="multiple-nod-dp", spec=_multi_nod_spec(2)),
-            SweepTask(solver=sleepy_solver, spec=_multi_nod_spec(3),
-                      timeout=0.2),
-        ]
-        out = run_sweep(tasks, workers=1, batch=True)
-        by_key = {f"{r.instance}@{r.seed}::{r.solver}": r for r in out.results}
-        assert by_key[f"multi3@3::{sleepy_solver}"].status == "timeout"
-        for s in range(3):
-            assert by_key[f"multi{s}@{s}::multiple-nod-dp"].status == "ok"
-
-    def test_batched_rows_resume_like_sequential_ones(self, tmp_path):
-        store = ResultStore(str(tmp_path / "sweep.jsonl"))
-        tasks = tasks_for_corpus(
-            [_multi_nod_spec(s) for s in range(3)], ["multiple-nod-dp"]
-        )
-        first = run_sweep(tasks, workers=1, store=store, batch=True)
-        assert first.n_run == 3
-        second = run_sweep(tasks, workers=1, store=store, batch=True)
-        assert second.n_run == 0 and second.n_skipped == 3
-        assert self._rows(first) == self._rows(second)

@@ -286,7 +286,7 @@ class TestConcurrency:
 
 def _dp_variants(k: int, seed: int = 7) -> list:
     """Same-shape Multiple-NoD instances differing only in requests —
-    exactly what :meth:`solve_many` stacks into one array program."""
+    a demand sweep, the batch :meth:`solve_many` serves."""
     base = random_tree(
         5, 10, capacity=12, dmax=None, policy=Policy.MULTIPLE, seed=seed
     )
@@ -304,7 +304,7 @@ def _dp_variants(k: int, seed: int = 7) -> list:
 
 
 class TestSolveManyBatchedDP:
-    """The vectorised DP fast path behind :meth:`solve_many`."""
+    """:meth:`solve_many` over DP requests equals a sequential loop."""
 
     def test_batched_responses_equal_a_sequential_loop(self):
         reqs = [
@@ -364,7 +364,7 @@ class TestSolveManyBatchedDP:
                 assert resp.error.code == exp.error.code
 
     def test_batched_results_hit_the_wal_like_sequential_ones(self, tmp_path):
-        """Durable state after a batched solve_many equals (a) the state
+        """Durable state after a solve_many equals (a) the state
         a sequential service builds from the same requests and (b) its
         own state recovered from the WAL."""
         reqs = [SolveRequest(instance=i) for i in _dp_variants(4)]
