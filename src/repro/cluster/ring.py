@@ -1,8 +1,8 @@
 """Consistent-hash ring: stable key -> worker routing with minimal remap.
 
-The cluster shards requests by *content fingerprint* (the SHA-256
-instance/request fingerprints from :mod:`repro.service.fingerprint`),
-so the routing key space is already uniform hex strings.  The ring maps
+The cluster shards requests by *content fingerprint* (the blake2b
+instance key of :func:`repro.core.instance.instance_fingerprint`), so
+the routing key space is already uniform hex strings.  The ring maps
 that space onto workers with the classic consistent-hashing
 construction:
 

@@ -7,10 +7,13 @@ daemon — and adds:
 
 routing
     ``POST /v1/solve`` and ``POST /v1/dynamic/start`` are routed by the
-    request's *instance fingerprint* (content-addressed SHA-256, see
-    :mod:`repro.service.fingerprint`) through a consistent-hash ring
-    (:mod:`repro.cluster.ring`), so identical instances always land on
-    the same worker and its result cache.  ``/v1/dynamic/apply`` and
+    request's *instance fingerprint* (the workers' cache key, computed
+    from the body's instance columns without building the instance,
+    see :func:`repro.instances.io.instance_fingerprint_from_dict`)
+    through a consistent-hash ring (:mod:`repro.cluster.ring`), so
+    identical instances always land on the same worker and its result
+    cache.  A body whose columns do not pack goes to one fixed worker,
+    which validates it and answers the 400.  ``/v1/dynamic/apply`` and
     ``/v1/dynamic/close`` follow the *session*: the router remembers
     which worker opened each session id and pins the session's traffic
     there (sessions are stateful; they must not wander).
@@ -49,14 +52,9 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Tuple
 
-from ..service.fingerprint import instance_fingerprint
+from ..instances.io import instance_fingerprint_from_dict
 from ..service.httpjson import JSONHandler, JSONServer, error_body
-from ..service.schema import (
-    WIRE_SCHEMA_VERSION,
-    ErrorCode,
-    SolveRequest,
-    WireFormatError,
-)
+from ..service.schema import WIRE_SCHEMA_VERSION, ErrorCode
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = ["ClusterState", "RouterServer", "make_router", "WorkerView"]
@@ -64,6 +62,16 @@ __all__ = ["ClusterState", "RouterServer", "make_router", "WorkerView"]
 #: Response header naming the worker that served a routed request —
 #: the load generator uses it for per-worker attribution.
 WORKER_HEADER = "X-Repro-Worker"
+
+
+def _route_key(payload: object) -> str:
+    """Ring key of a solve or dynamic/start body: its instance
+    fingerprint, or one fixed key when the columns do not pack.  Only
+    cache affinity depends on it — the worker validates every body."""
+    try:
+        return instance_fingerprint_from_dict(payload["instance"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return "unkeyed"
 
 
 class WorkerView:
@@ -445,29 +453,11 @@ class _RouterHandler(JSONHandler):
 
     # -- POST routes ---------------------------------------------------
     def _post_solve(self, payload: object, body: bytes) -> None:
-        try:
-            request = SolveRequest.from_wire(payload)
-        except WireFormatError as exc:
-            self._send_error_json(400, ErrorCode.BAD_REQUEST, str(exc))
-            return
-        key = instance_fingerprint(request.instance)
-        self._relay(*self._forward_failover(key, "/v1/solve", body))
+        self._relay(*self._forward_failover(_route_key(payload), "/v1/solve", body))
 
     def _post_dynamic_start(self, payload: object, body: bytes) -> None:
-        from ..instances.io import instance_from_dict
-
-        try:
-            instance = instance_from_dict(payload["instance"])
-        except Exception as exc:  # noqa: BLE001 - normalise codec failures
-            self._send_error_json(
-                400,
-                ErrorCode.BAD_REQUEST,
-                f"bad dynamic/start payload — {type(exc).__name__}: {exc}",
-            )
-            return
-        key = instance_fingerprint(instance)
         status, answer, node = self._forward_failover(
-            key, "/v1/dynamic/start", body
+            _route_key(payload), "/v1/dynamic/start", body
         )
         if status == 200 and node is not None:
             try:

@@ -17,7 +17,7 @@ from .errors import (
     ReproError,
     SolverError,
 )
-from .instance import ProblemInstance
+from .instance import ProblemInstance, instance_fingerprint
 from .placement import Assignment, Placement
 from .policies import Policy
 from .transform import (
@@ -42,6 +42,7 @@ __all__ = [
     "prune_zero_demand",
     "collapse_unary_chains",
     "ProblemInstance",
+    "instance_fingerprint",
     "Placement",
     "Assignment",
     "Policy",

@@ -126,7 +126,9 @@ class Tree:
         if len(order) != n:
             raise InvalidTreeError("parent relation contains a cycle")
 
-        dl = [float(d) for d in deltas]
+        # ``+ 0.0`` folds -0.0 into 0.0: equal trees store equal
+        # columns, which the content key packs as they are.
+        dl = [float(d) + 0.0 for d in deltas]
         dl[0] = math.inf
         for v in range(1, n):
             if not dl[v] >= 0:

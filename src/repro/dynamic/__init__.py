@@ -16,10 +16,10 @@ Entry points:
 * :class:`IncrementalNodDP` / :class:`IncrementalSingleNod` — the
   memoized bottom-up solvers, reusable directly.
 
-Invalidation is content-addressed: every cached subtree result is keyed
-by a Merkle fingerprint of that subtree (see
-:mod:`repro.dynamic.fingerprints`), so "dirty" is simply "the key no
-longer matches" and incremental results are byte-identical to a cold
+Dirty tracking is a column diff: a backend compares the demand column
+and the failed set with those of its last fold and re-folds the changed
+nodes and their root paths (everything when ``W``, the topology or the
+deltas changed), so incremental results are byte-identical to a cold
 solve.  See ``docs/simulation.md`` for the event model and
 ``docs/architecture.md`` for where this layer sits.
 """
@@ -31,7 +31,6 @@ from .engine import (
     DynamicPlacement,
     DynamicStats,
     RepairOutcome,
-    trace_outcomes,
 )
 from .events import (
     CapacityEvent,
@@ -45,7 +44,6 @@ from .events import (
     event_to_wire,
     random_event_trace,
 )
-from .fingerprints import instance_salt, root_fingerprint, subtree_fingerprints
 from .incremental import (
     IncrementalNodDP,
     IncrementalSingleNod,
@@ -57,7 +55,6 @@ __all__ = [
     "DynamicPlacement",
     "RepairOutcome",
     "DynamicStats",
-    "trace_outcomes",
     "MODE_INCREMENTAL",
     "MODE_INCREMENTAL_REPAIR",
     "MODE_FULL_RESOLVE",
@@ -71,9 +68,6 @@ __all__ = [
     "describe_events",
     "event_to_wire",
     "event_from_wire",
-    "subtree_fingerprints",
-    "instance_salt",
-    "root_fingerprint",
     "IncrementalNodDP",
     "IncrementalSingleNod",
     "IncrementalStats",

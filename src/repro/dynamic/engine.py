@@ -35,14 +35,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from ..core.errors import InfeasibleInstanceError, InvalidInstanceError, ReproError
-from ..core.instance import ProblemInstance
+from ..core.instance import ProblemInstance, instance_fingerprint
 from ..core.placement import Placement
 from ..core.policies import Policy
 from .events import ChangeEvent, apply_events_batch, describe_events
-from .fingerprints import root_fingerprint
 from .incremental import (
     IncrementalNodDP,
     IncrementalSingleNod,
@@ -54,7 +53,6 @@ __all__ = [
     "DynamicPlacement",
     "RepairOutcome",
     "DynamicStats",
-    "trace_outcomes",
     "MODE_INCREMENTAL",
     "MODE_INCREMENTAL_REPAIR",
     "MODE_FULL_RESOLVE",
@@ -227,8 +225,9 @@ class DynamicPlacement:
             return self._instance, self._solver_name, self._failed
 
     def fingerprint(self) -> str:
-        """Content fingerprint of the current snapshot (+ failures)."""
-        return root_fingerprint(self._instance, self._failed)
+        """Content key of the current snapshot and its failed hosts
+        (:func:`~repro.core.instance.instance_fingerprint`)."""
+        return instance_fingerprint(self._instance, self._failed)
 
     def stats(self) -> DynamicStats:
         """Lifetime apply/failure/fallback counters."""
@@ -395,11 +394,3 @@ class DynamicPlacement:
 
         rr = repair_placement(self._instance, placement, self._failed)
         return rr.placement if rr is not None else None
-
-
-def trace_outcomes(
-    engine: DynamicPlacement,
-    trace: Sequence[Sequence[ChangeEvent]],
-) -> List[RepairOutcome]:
-    """Apply a whole event trace, collecting one outcome per batch."""
-    return [engine.apply(batch) for batch in trace]

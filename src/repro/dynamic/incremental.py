@@ -4,10 +4,10 @@ Both NoD solvers in this repository are bottom-up folds: each node's
 contribution is a pure function of its own data and what its children
 hand up (DP threshold rows for ``multiple-nod-dp``, entry bundles for
 ``single-nod``).  That makes them incrementally recomputable: cache the
-per-node fold results keyed by the node's *subtree fingerprint*
-(:mod:`repro.dynamic.fingerprints`), and after an event only the nodes
-whose fingerprint changed — the event site and its root path — are
-re-folded, while every untouched sibling subtree is reused verbatim.
+per-node fold results, diff the next instance's columns against the
+last fold's (:func:`_dirty_positions`), and re-fold only the nodes
+whose demand or failed flag changed plus their root paths, while every
+untouched sibling subtree is reused verbatim.
 
 Because a cache hit returns the byte-identical intermediate state a
 cold run would compute, the incremental result **equals a from-scratch
@@ -34,16 +34,17 @@ Two backends:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..algorithms.multiple_nod_dp import NodeFold, fold, place
-from ..core.arrays import flat_tree
+from ..core.arrays import FlatTree, flat_tree
 from ..core.errors import InfeasibleInstanceError, PolicyError, ReproError
 from ..core.instance import ProblemInstance
 from ..core.kernels import prefix_fit, stable_argsort
 from ..core.placement import Placement
 from ..core.policies import Policy
-from .fingerprints import instance_salt, subtree_fingerprints
 
 __all__ = [
     "IncrementalStats",
@@ -83,6 +84,48 @@ def _check_nod(instance: ProblemInstance, who: str) -> None:
         )
 
 
+#: What a backend's last completed fold ran on: ``(layout, W, failed)``.
+_FoldInputs = Tuple[FlatTree, int, FrozenSet[int]]
+
+
+def _dirty_positions(
+    last: Optional[_FoldInputs], ft: FlatTree, W: int, failed: FrozenSet[int]
+) -> List[int]:
+    """Post positions to re-fold, ascending (children before parents).
+
+    The positions whose demand or failed flag differs from the last
+    fold's, closed under ancestors: a node's fold depends only on its
+    subtree and ``W``.  Everything when there is no last fold, or when
+    ``W``, the parents, the post order or the deltas changed.
+    """
+    n = ft.n
+    if last is None:
+        return list(range(n))
+    last_ft, last_W, last_failed = last
+    if W != last_W or (
+        ft is not last_ft
+        and (
+            ft.post_to_orig != last_ft.post_to_orig
+            or ft.parent != last_ft.parent
+            or ft.delta != last_ft.delta
+        )
+    ):
+        return list(range(n))
+    changed = list(compress(range(n), map(ne, ft.demand, last_ft.demand)))
+    orig_to_post = ft.orig_to_post
+    changed.extend(orig_to_post[v] for v in failed ^ last_failed if 0 <= v < n)
+    parent = ft.parent
+    seen = bytearray(n)
+    dirty: List[int] = []
+    for p in changed:
+        while p >= 0 and not seen[p]:
+            seen[p] = 1
+            dirty.append(p)
+            p = parent[p]
+    dirty.sort()
+    return dirty
+
+
 class IncrementalNodDP:
     """Memoized exact Multiple-NoD DP with forbidden-host support.
 
@@ -91,17 +134,17 @@ class IncrementalNodDP:
     :func:`repro.algorithms.multiple_nod_dp.fold`; the placement comes
     from the same :func:`~repro.algorithms.multiple_nod_dp.place` as a
     cold solve.  ``solve`` may be called repeatedly with mutated
-    instances of the *same topology* (node set and parent relation); a
-    topology change clears the cache.
+    instances: it re-folds only the nodes whose demand or failed flag
+    changed since the last solve, and their root paths.
     """
 
     name = "multiple-nod-dp"
     policy = Policy.MULTIPLE
 
     def __init__(self) -> None:
-        self._topology: Optional[Tuple[int, ...]] = None
-        # node -> (fingerprint, fold)
-        self._memo: Dict[int, Tuple[bytes, NodeFold]] = {}
+        # One fold per post position, valid for ``_last``'s inputs.
+        self._folds: List[Optional[NodeFold]] = []
+        self._last: Optional[_FoldInputs] = None
 
     # ------------------------------------------------------------------
     def solve(
@@ -136,41 +179,19 @@ class IncrementalNodDP:
         _check_nod(instance, "IncrementalNodDP")
         if instance.policy is not Policy.MULTIPLE:
             raise PolicyError("IncrementalNodDP solves Multiple instances")
-        tree = instance.tree
         W = instance.capacity
-        n = len(tree)
+        ft = flat_tree(instance.tree)
+        n = ft.n
+        dirty = _dirty_positions(self._last, ft, W, failed)
+        # Cleared while the memo is being rewritten, so an exception
+        # mid-fold makes the next solve re-fold everything.
+        self._last = None
+        if len(self._folds) != n:
+            self._folds = [None] * n
+        fold(ft, W, self._folds, dirty, failed)
+        self._last = (ft, W, failed)
 
-        topology = tuple(tree.parent(v) for v in range(n))
-        if topology != self._topology:
-            self._memo.clear()
-            self._topology = topology
-
-        # The re-fold runs on the flat substrate, post positions
-        # children-first.  The memo stays keyed by *original* node ids
-        # — that is what the fingerprints key on, and it keeps cached
-        # folds valid across the fresh Tree objects each event produces.
-        # Cached folds name children by post position, which the
-        # topology fixes.
-        ft = flat_tree(tree)
-        post_to_orig = ft.post_to_orig
-        fps = subtree_fingerprints(tree, instance_salt(instance), failed)
-
-        memo = self._memo
-        folds: List[Optional[NodeFold]] = [None] * n
-        dirty: List[int] = []
-        for p in range(n):
-            v = post_to_orig[p]
-            cached = memo.get(v)
-            if cached is not None and cached[0] == fps[v]:
-                folds[p] = cached[1]
-            else:
-                dirty.append(p)
-        fold(ft, W, folds, dirty, failed)
-        for p in dirty:
-            v = post_to_orig[p]
-            memo[v] = (fps[v], folds[p])
-
-        placement = place(instance, ft, folds, failed)
+        placement = place(instance, ft, self._folds, failed)
         return placement, IncrementalStats(n, n - len(dirty), len(dirty))
 
 
@@ -204,9 +225,10 @@ class IncrementalSingleNod:
     policy = Policy.SINGLE
 
     def __init__(self) -> None:
-        self._topology: Optional[Tuple[int, ...]] = None
-        # node -> (fingerprint, export, contribution)
-        self._memo: Dict[int, Tuple[bytes, _Export, _Contribution]] = {}
+        # Original node id -> (export, contribution), valid for
+        # ``_last``'s inputs.
+        self._memo: List[Optional[Tuple[_Export, _Contribution]]] = []
+        self._last: Optional[_FoldInputs] = None
 
     # ------------------------------------------------------------------
     def solve(
@@ -256,35 +278,29 @@ class IncrementalSingleNod:
                 "no Single placement exists"
             )
 
-        topology = tuple(tree.parent(v) for v in range(len(tree)))
-        if topology != self._topology:
-            self._memo.clear()
-            self._topology = topology
-
-        fps = subtree_fingerprints(tree, instance_salt(instance), failed)
         ft = flat_tree(tree)
+        n = ft.n
+        dirty = _dirty_positions(self._last, ft, W, failed)
+        # The memo is rewritten in place: clear the record first, so an
+        # exception mid-fold makes the next solve re-fold everything.
+        self._last = None
+        if len(self._memo) != n:
+            self._memo = [None] * n
         memo = self._memo
-        reused = recomputed = 0
-        for p in range(ft.n):
-            j = ft.post_to_orig[p]
-            cached = memo.get(j)
-            if cached is not None and cached[0] == fps[j]:
-                reused += 1
-                continue
-            recomputed += 1
-            export, contribution = self._process(ft, W, p)
-            memo[j] = (fps[j], export, contribution)
+        for p in dirty:
+            memo[ft.post_to_orig[p]] = self._process(ft, W, p)
+        self._last = (ft, W, failed)
 
         replicas: List[int] = []
         assignments: Dict[Tuple[int, int], int] = {}
         for j in tree.topological_order():
-            for site, bundle in memo[j][2]:
+            for site, bundle in memo[j][1]:
                 replicas.append(site)
                 for client, amount in bundle:
                     assignments[(client, site)] = (
                         assignments.get((client, site), 0) + amount
                     )
-        stats = IncrementalStats(len(tree), reused, recomputed)
+        stats = IncrementalStats(n, n - len(dirty), len(dirty))
         return Placement(replicas, assignments), stats
 
     # ------------------------------------------------------------------
@@ -331,11 +347,11 @@ class IncrementalSingleNod:
             children.append(post_to_orig[c])
             c = ft.next_sibling[c]
         for c in reversed(children):
-            export = self._memo[c][1]
+            export = self._memo[c][0]
             if export is not None and export[0] == "left":
                 entries.extend(export[1])
         for c in children:
-            export = self._memo[c][1]
+            export = self._memo[c][0]
             if export is not None and export[0] == "agg":
                 entries.extend(export[1])
 

@@ -13,7 +13,7 @@ import math
 from typing import Optional
 
 from ..core.errors import InvalidInstanceError
-from ..core.instance import ProblemInstance
+from ..core.instance import ProblemInstance, fingerprint_columns
 from ..core.placement import Placement
 from ..core.policies import Policy
 from ..core.tree import NO_PARENT, Tree
@@ -22,6 +22,7 @@ __all__ = [
     "canonical_json",
     "instance_to_dict",
     "instance_from_dict",
+    "instance_fingerprint_from_dict",
     "dump_instance",
     "load_instance",
     "placement_to_dict",
@@ -37,7 +38,9 @@ def canonical_json(data: object) -> str:
 
     Two structurally equal payloads always encode to the same string,
     which makes the output suitable for content-addressing — the service
-    layer fingerprints instances by hashing exactly this encoding.
+    hashes request keys and its durable state over it (instances key
+    by their packed columns instead, see
+    :func:`~repro.core.instance.instance_fingerprint`).
     """
     return json.dumps(
         data, sort_keys=True, separators=(",", ":"), allow_nan=False
@@ -61,20 +64,44 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
+def _deltas_from_wire(deltas: list) -> list:
+    """Wire deltas as :class:`Tree` stores them: ``None`` (and the
+    root's entry) is ``+inf``, ``-0.0`` is ``0.0``."""
+    out = [math.inf if d is None else float(d) + 0.0 for d in deltas]
+    if out:
+        out[0] = math.inf
+    return out
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
     """Inverse of :func:`instance_to_dict`."""
     if data.get("schema") != SCHEMA_VERSION:
         raise InvalidInstanceError(
             f"unsupported schema version {data.get('schema')!r}"
         )
-    deltas = [math.inf if d is None else float(d) for d in data["deltas"]]
-    tree = Tree(data["parents"], deltas, data["requests"])
+    tree = Tree(data["parents"], _deltas_from_wire(data["deltas"]), data["requests"])
     return ProblemInstance(
         tree,
         int(data["capacity"]),
         data["dmax"],
         Policy(data["policy"]),
         name=data.get("name", ""),
+    )
+
+
+def instance_fingerprint_from_dict(data: dict) -> str:
+    """``instance_fingerprint(instance_from_dict(data))`` without
+    building the instance: the cluster router keys request bodies with
+    it.  Nothing is validated; a body whose columns do not pack raises
+    ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError``.
+    """
+    return fingerprint_columns(
+        data["parents"],
+        _deltas_from_wire(data["deltas"]),
+        data["requests"],
+        data["capacity"],
+        data["dmax"],
+        data["policy"],
     )
 
 

@@ -26,7 +26,6 @@ from .cache import CacheStats, ResultCache
 from .facade import PlacementService, ServiceStats, UnknownSessionError
 from .fingerprint import (
     combine_fingerprint,
-    fingerprint_for,
     instance_fingerprint,
     request_fingerprint,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "instance_fingerprint",
     "request_fingerprint",
     "combine_fingerprint",
-    "fingerprint_for",
     "UnknownSessionError",
     "AUTO_CHAIN",
     "NoApplicableSolverError",

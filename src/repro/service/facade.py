@@ -5,8 +5,8 @@ downstream libraries) funnels solve traffic through this class instead
 of calling algorithm functions directly.  One ``solve`` call does, in
 order:
 
-1. fingerprint the request (content-addressed, see
-   :mod:`repro.service.fingerprint`);
+1. key the request (the instance's content key, see
+   :mod:`repro.service.fingerprint`, plus solver, budget and tenant);
 2. consult the LRU result cache — a hit returns immediately with
    ``diagnostics.cache_hit=True``;
 3. resolve the solver: explicit name honoured verbatim, otherwise the
@@ -34,6 +34,7 @@ result is seeded under the new fingerprint.  See ``docs/service.md``.
 
 from __future__ import annotations
 
+import secrets
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -41,7 +42,7 @@ from hashlib import blake2b
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..core.bounds import lower_bound
-from ..core.instance import ProblemInstance
+from ..core.instance import ProblemInstance, instance_fingerprint
 from ..core.placement import Placement
 from ..core.validation import placement_violations
 from ..instances.io import (
@@ -65,7 +66,7 @@ from ..storage import (
     StateStore,
 )
 from .cache import CacheStats, ResultCache
-from .fingerprint import combine_fingerprint, instance_fingerprint
+from .fingerprint import combine_fingerprint
 from .schema import Diagnostics, ErrorCode, ErrorInfo, SolveRequest, SolveResponse
 from .selection import NoApplicableSolverError, select_solver
 
@@ -97,19 +98,6 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an already sorted, non-empty list."""
     idx = min(len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1))))
     return sorted_values[idx]
-
-
-def _session_ordinal(session_id: str) -> int:
-    """The ``<n>`` in ``dyn-<n>-<fp8>`` (0 for foreign id shapes).
-
-    Replay uses it to fast-forward the session counter so ids minted
-    after recovery never collide with recovered ones.
-    """
-    parts = session_id.split("-")
-    try:
-        return int(parts[1]) if len(parts) > 1 else 0
-    except ValueError:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -193,7 +181,6 @@ class PlacementService:
         # so dynamic-session mutations can invalidate precisely.
         self._fp_index: Dict[str, Set[str]] = {}
         self._sessions: Dict[str, "DynamicPlacement"] = {}
-        self._session_seq = 0
         self._store: Optional[StateStore] = None
         self._replaying = False
         if store is not None:
@@ -445,9 +432,10 @@ class PlacementService:
         # Solve first: an infeasible snapshot raises here and nothing is
         # logged — the WAL only ever records sessions that opened.
         engine = DynamicPlacement(instance, solver=solver)
-        with self._lock:
-            self._session_seq += 1
-            session_id = f"dyn-{self._session_seq}-{engine.fingerprint()[:8]}"
+        # 128 random bits: ids never collide across services, so a
+        # router that fails a start over to another worker cannot
+        # alias two sessions.
+        session_id = f"dyn-{secrets.token_hex(16)}"
         seq = self._log(
             SessionStart(
                 session_id=session_id,
@@ -734,7 +722,6 @@ class PlacementService:
         """JSON-able capture of the durable state (sessions + cache)."""
         with self._lock:
             sessions = list(self._sessions.items())
-            session_seq = self._session_seq
             key_to_fp = {
                 key: inst_fp
                 for inst_fp, keys in self._fp_index.items()
@@ -758,7 +745,6 @@ class PlacementService:
         ]
         return {
             "schema": STATE_SCHEMA_VERSION,
-            "session_seq": session_seq,
             "sessions": out_sessions,
             "cache": cache,
         }
@@ -773,7 +759,6 @@ class PlacementService:
                 f"(this service speaks version {STATE_SCHEMA_VERSION})"
             )
         try:
-            self._session_seq = int(state.get("session_seq", 0))
             for sid, body in dict(state.get("sessions", {})).items():
                 # strict=False: the engine re-solves from the restored
                 # snapshot; a currently-infeasible session comes back
@@ -818,9 +803,6 @@ class PlacementService:
             self._sessions[record.session_id] = DynamicPlacement(
                 instance_from_dict(record.instance), solver=record.solver
             )
-            self._session_seq = max(
-                self._session_seq, _session_ordinal(record.session_id)
-            )
         elif isinstance(record, SessionEvents):
             engine = self._sessions.get(record.session_id)
             if engine is None:
@@ -837,7 +819,7 @@ class PlacementService:
     def state_fingerprint(self) -> str:
         """Hex digest of the durable state — the kill-and-replay oracle.
 
-        Hashes the dynamic sessions (id, root fingerprint of instance +
+        Hashes the dynamic sessions (id, content key of instance +
         failed hosts, requested solver, standing placement) and the
         *semantic* content of the result cache — status, solver, cost,
         bound, placement, error — excluding diagnostics, whose wall
@@ -845,19 +827,15 @@ class PlacementService:
         between a live run and its replay.  A recovered service with an
         equal fingerprint answers every future request identically.
         """
-        from ..dynamic import root_fingerprint
-
         h = blake2b(digest_size=16)
         with self._lock:
             sessions = sorted(self._sessions.items(), key=lambda kv: kv[0])
-            session_seq = self._session_seq
-        h.update(str(session_seq).encode())
         for sid, engine in sessions:
             instance, solver, failed = engine.checkpoint()
             placement = engine.placement
             h.update(b"\x00session\x00")
             h.update(sid.encode())
-            h.update(root_fingerprint(instance, failed).encode())
+            h.update(instance_fingerprint(instance, failed).encode())
             h.update((solver or "").encode())
             h.update(
                 canonical_json(placement_to_dict(placement)).encode()

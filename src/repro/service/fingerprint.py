@@ -1,13 +1,12 @@
-"""Content-addressed fingerprints for instances and solve requests.
+"""Content-addressed keys for solve requests.
 
-A fingerprint is the SHA-256 of the canonical JSON encoding of the
-payload (see :func:`repro.instances.io.canonical_json`), so it depends
-only on *content*: two instances that compare equal — same tree, same
-capacity/dmax/policy — fingerprint identically regardless of how they
-were constructed, what file they were loaded from, or what ``name``
-label they carry.  Request fingerprints additionally mix in everything
-that can change the answer (solver choice, budget), and are the keys of
-the service result cache.
+The instance key is :func:`repro.core.instance.instance_fingerprint`
+(blake2b-256 over the packed instance columns), re-exported here under
+its service name.  It depends only on *content*: two instances that
+compare equal fingerprint identically regardless of how they were
+built or what ``name`` label they carry.  Request keys additionally mix
+in everything that can change the answer (solver choice, budget,
+tenant), and are the keys of the service result cache.
 """
 
 from __future__ import annotations
@@ -15,40 +14,14 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from ..core.instance import ProblemInstance
-from ..instances.io import canonical_json, instance_to_dict
-from .schema import SolveRequest
+from ..core.instance import ProblemInstance, instance_fingerprint
+from ..instances.io import canonical_json
 
 __all__ = [
     "instance_fingerprint",
     "request_fingerprint",
     "combine_fingerprint",
-    "fingerprint_for",
 ]
-
-
-def instance_fingerprint(instance: ProblemInstance) -> str:
-    """Hex SHA-256 of the instance content (``name`` excluded).
-
-    ``name`` is a display label with ``compare=False`` semantics on
-    :class:`~repro.core.instance.ProblemInstance`; fingerprints follow
-    the same equality contract so renaming an instance never busts the
-    cache.
-    """
-    payload = instance_to_dict(instance)
-    payload.pop("name", None)
-    # Normalise numeric types before hashing: dmax=5 and dmax=5.0 (or
-    # int vs float deltas) compare equal on the instance but would
-    # JSON-encode differently, silently splitting cache entries.
-    payload["capacity"] = int(payload["capacity"])
-    payload["dmax"] = (
-        None if payload["dmax"] is None else float(payload["dmax"])
-    )
-    payload["deltas"] = [
-        None if d is None else float(d) for d in payload["deltas"]
-    ]
-    payload["requests"] = [int(r) for r in payload["requests"]]
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def request_fingerprint(
@@ -97,10 +70,3 @@ def combine_fingerprint(
     if tenant is not None:
         payload["tenant"] = str(tenant)
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def fingerprint_for(request: SolveRequest) -> str:
-    """Convenience: :func:`request_fingerprint` of a typed request."""
-    return request_fingerprint(
-        request.instance, request.solver, request.budget, request.tenant
-    )

@@ -17,8 +17,9 @@ Modules, bottom up::
 
 The correctness contract — *recover(state) equals the never-killed
 in-memory state, for any crash point including mid-record torn writes*
-— is property-tested in ``tests/test_service_persistence.py`` with the
-dynamic engine's blake2b fingerprints as the equality oracle.  See
+— is property-tested in ``tests/test_service_persistence.py`` with
+:meth:`~repro.service.PlacementService.state_fingerprint` as the
+equality oracle.  See
 ``docs/durability.md`` for the record format, the snapshot/compaction
 lifecycle and the ops runbook.
 """

@@ -69,7 +69,7 @@ class TestRequestMixDeterminism:
         assert all(len(r.instance_fp) == 64 for r in reqs)
         assert all(
             int(r.instance_fp, 16) >= 0 for r in reqs
-        )  # hex SHA-256
+        )  # hex blake2b-256
 
 
 class TestReportRoundTrip:

@@ -242,6 +242,24 @@ class TestFailover:
         assert payload["error"]["code"] == "unknown_solver"
         assert all(w.retries == 0 for w in router.state.all_workers())
 
+    def test_unpackable_body_gets_a_workers_400(self, cluster):
+        # The router cannot key a body whose columns do not pack: it
+        # sends it to one fixed worker, which rejects it, and relays
+        # that 400 without retrying.
+        router, _ = cluster
+        inst = random_tree(5, 10, capacity=12, dmax=5.0, seed=2)
+        solve = SolveRequest(instance=inst).to_wire()
+        solve["instance"]["parents"] = "x"
+        start = {"schema": 1, "instance": solve["instance"]}
+        for path, body in (("/v1/solve", solve), ("/v1/dynamic/start", start)):
+            status, payload, headers = _post(_url(router) + path, body)
+            assert status == 400, path
+            assert payload["error"]["code"] == "bad_request"
+            assert headers[WORKER_HEADER] in router.state.workers
+        views = router.state.all_workers()
+        assert sum(w.requests for w in views) == 2
+        assert all(w.retries == 0 for w in views)
+
 
 class TestSessions:
     def test_dynamic_session_pinned_to_opening_worker(self, cluster):

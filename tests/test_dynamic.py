@@ -1,4 +1,4 @@
-"""Online re-placement engine: events, fingerprints, incremental solvers.
+"""Online re-placement engine: events, dirty tracking, incremental solvers.
 
 The load-bearing property: **incremental repair equals a from-scratch
 solve** — same cost always, identical placements for the greedy and,
@@ -18,6 +18,7 @@ from repro import Policy, ProblemInstance, TreeBuilder
 from repro.algorithms.multiple_nod_dp import multiple_nod_dp
 from repro.algorithms.single_nod import single_nod
 from repro.core.errors import InvalidInstanceError
+from repro.core.instance import instance_fingerprint
 from repro.core.validation import placement_violations
 from repro.dynamic import (
     MODE_FULL_RESOLVE,
@@ -31,9 +32,7 @@ from repro.dynamic import (
     IncrementalSingleNod,
     IncrementalUnsupported,
     apply_event,
-    instance_salt,
     random_event_trace,
-    subtree_fingerprints,
 )
 from repro.instances import random_tree
 from tests.conftest import tree_instances
@@ -99,38 +98,59 @@ class TestEvents:
 
 
 # ----------------------------------------------------------------------
-# Fingerprints
+# Dirty tracking: which nodes a re-solve re-folds
 # ----------------------------------------------------------------------
+def _nod(instance, policy):
+    return instance.without_distance().with_policy(policy)
+
+
 class TestFingerprints:
     def test_demand_change_dirties_only_root_path(self, paper_example):
-        inst = paper_example
-        salt = instance_salt(inst)
-        before = subtree_fingerprints(inst.tree, salt)
-        client = inst.tree.clients[-1]
-        mutated, _ = apply_event(inst, DemandEvent(client, 9))
-        after = subtree_fingerprints(mutated.tree, instance_salt(mutated))
-        path = set(inst.tree.path_to_root(client))
-        for v in range(len(inst.tree)):
-            if v in path:
-                assert before[v] != after[v]
-            else:
-                assert before[v] == after[v]
+        client = paper_example.tree.clients[-1]
+        path = paper_example.tree.path_to_root(client)
+        for backend, policy in (
+            (IncrementalNodDP(), Policy.MULTIPLE),
+            (IncrementalSingleNod(), Policy.SINGLE),
+        ):
+            inst = _nod(paper_example, policy)
+            backend.solve(inst)
+            mutated, _ = apply_event(inst, DemandEvent(client, 7))
+            placement, stats = backend.solve(mutated)
+            assert stats.nodes_recomputed == len(path)
+            assert stats.nodes_reused == len(inst.tree) - len(path)
+            assert placement == type(backend)().solve(mutated)[0]
+            # Re-setting an unchanged level dirties nothing.
+            _placement, stats = backend.solve(mutated)
+            assert stats.nodes_recomputed == 0
 
     def test_capacity_change_dirties_everything(self, paper_example):
-        inst = paper_example
-        before = subtree_fingerprints(inst.tree, instance_salt(inst))
+        inst = _nod(paper_example, Policy.MULTIPLE)
+        backend = IncrementalNodDP()
+        backend.solve(inst)
         resized, _ = apply_event(inst, CapacityEvent(inst.capacity + 1))
-        after = subtree_fingerprints(resized.tree, instance_salt(resized))
-        assert all(b != a for b, a in zip(before, after))
+        _placement, stats = backend.solve(resized)
+        assert stats.nodes_recomputed == len(inst.tree)
+        assert stats.nodes_reused == 0
 
     def test_failure_flag_participates(self, paper_example):
-        inst = paper_example
-        salt = instance_salt(inst)
-        clean = subtree_fingerprints(inst.tree, salt)
-        failed = subtree_fingerprints(inst.tree, salt, frozenset({1}))
-        path = set(inst.tree.path_to_root(1))
-        for v in range(len(inst.tree)):
-            assert (clean[v] == failed[v]) == (v not in path)
+        inst = _nod(paper_example, Policy.MULTIPLE)
+        path = inst.tree.path_to_root(1)
+        backend = IncrementalNodDP()
+        backend.solve(inst)
+        # Failing node 1, then reviving it, re-folds its root path only.
+        for failed in (frozenset({1}), frozenset()):
+            _placement, stats = backend.solve(inst, failed)
+            assert stats.nodes_recomputed == len(path)
+
+    def test_engine_fingerprint_is_the_content_key(self, paper_example):
+        inst = _nod(paper_example, Policy.MULTIPLE)
+        engine = DynamicPlacement(inst)
+        assert engine.fingerprint() == instance_fingerprint(inst)
+        engine.apply([FailureEvent(1)])
+        assert engine.fingerprint() == instance_fingerprint(
+            inst, frozenset({1})
+        )
+        assert engine.fingerprint() != instance_fingerprint(inst)
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +283,21 @@ class TestEngineProperties:
         assert engine.stats().repair_failures == 1
         good = engine.apply([DemandEvent(leaf, 4)])
         assert good.ok and engine.placement is not None
+
+    def test_multiple_infeasible_batch_then_feasible_matches_cold(self):
+        b = TreeBuilder()
+        root = b.add_root()
+        mid = b.add(root, delta=1.0)
+        leaf = b.add(mid, delta=1.0, requests=3)
+        b.add(root, delta=1.0, requests=2)
+        inst = ProblemInstance(b.build(), 5, None, Policy.MULTIPLE)
+        engine = DynamicPlacement(inst)
+        # 30 > 3 servers x W on the leaf's root path: no placement.
+        bad = engine.apply([DemandEvent(leaf, 30)])
+        assert not bad.ok and engine.placement is None
+        good = engine.apply([DemandEvent(leaf, 4)])
+        assert good.ok and good.mode == MODE_INCREMENTAL
+        assert good.placement == multiple_nod_dp(engine.instance)
 
     def test_malformed_event_rejects_batch_atomically(self):
         inst = random_tree(6, 12, capacity=8, dmax=None, seed=1)

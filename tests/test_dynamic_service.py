@@ -9,12 +9,21 @@ seeds the cache under the new fingerprint.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro import Policy
 from repro.dynamic import CapacityEvent, DemandEvent, FailureEvent
 from repro.instances import random_tree
-from repro.service import PlacementService, UnknownSessionError
+from repro.instances.io import canonical_json, instance_to_dict
+from repro.service import (
+    PlacementService,
+    SolveRequest,
+    UnknownSessionError,
+    combine_fingerprint,
+)
+from repro.storage import CachePut, SessionStart, StateStore
 
 
 @pytest.fixture
@@ -39,6 +48,17 @@ class TestDynamicSessions:
                 sid, [_bump_leaf_event(multiple_instance)]
             )
             assert outcome.ok and outcome.mode == "incremental"
+
+    def test_fresh_services_mint_distinct_ids_for_one_instance(
+        self, multiple_instance
+    ):
+        # Two workers that both open the same instance (a router
+        # failover of /v1/dynamic/start) must not mint the same id,
+        # or the router would alias the two clients' sessions.
+        with PlacementService() as a, PlacementService() as b:
+            first = a.start_dynamic(multiple_instance)
+            second = b.start_dynamic(multiple_instance)
+        assert first != second
 
     def test_unknown_session_raises(self, multiple_instance):
         with PlacementService() as svc:
@@ -135,3 +155,48 @@ class TestCacheInvalidation:
             assert outcome.ok
             stale = svc.solve_instance(multiple_instance, "multiple-nod-dp")
             assert not stale.diagnostics.cache_hit
+
+
+class TestStateFromBeforeTheContentKey:
+    """A data dir written when instance keys were SHA-256 over
+    canonical JSON: cache records carry no instance and never match
+    again, sessions carry theirs and keep working."""
+
+    @pytest.mark.parametrize("form", ["wal", "snapshot"])
+    def test_old_data_dir_recovers(self, tmp_path, multiple_instance, form):
+        cached = random_tree(5, 10, capacity=12, dmax=5.0, seed=2)
+        payload = instance_to_dict(cached)
+        payload.pop("name")
+        old_fp = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        old_key = combine_fingerprint(old_fp)
+        with PlacementService() as svc:
+            response = svc.solve(SolveRequest(instance=cached)).to_wire()
+        sid = "dyn-1-26dca1a3"
+        wire = instance_to_dict(multiple_instance)
+
+        store = StateStore(str(tmp_path), fsync=False)
+        store.recover()
+        if form == "wal":
+            store.append(
+                CachePut(key=old_key, instance_fp=old_fp, response=response)
+            )
+            store.append(SessionStart(session_id=sid, instance=wire))
+        else:
+            store.snapshot_now(lambda: {
+                "schema": 1,
+                "session_seq": 1,
+                "sessions": {sid: {"instance": wire, "solver": None, "failed": []}},
+                "cache": [
+                    {"key": old_key, "instance_fp": old_fp, "response": response}
+                ],
+            })
+        store.close()
+
+        with PlacementService(store=StateStore(str(tmp_path), fsync=False)) as svc:
+            assert [s["session_id"] for s in svc.dynamic_sessions()] == [sid]
+            assert svc.apply_events(sid, [_bump_leaf_event(multiple_instance)]).ok
+            first = svc.solve(SolveRequest(instance=cached))
+            second = svc.solve(SolveRequest(instance=cached))
+        assert not first.diagnostics.cache_hit
+        assert second.diagnostics.cache_hit
+        assert first.n_replicas == response["n_replicas"]

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
-from repro.instances import instance_from_dict, instance_to_dict, random_tree
+from repro import Policy, ProblemInstance, Tree
+from repro.cluster import MIXES
+from repro.core import instance_fingerprint as core_instance_fingerprint
+from repro.instances import (
+    instance_from_dict,
+    instance_to_dict,
+    make_instance,
+    random_tree,
+)
+from repro.instances.io import instance_fingerprint_from_dict
+from repro.scenarios import build_scenario, family_names
 from repro.service import (
     ResultCache,
+    SolveRequest,
     instance_fingerprint,
     request_fingerprint,
 )
@@ -102,14 +114,59 @@ class TestFingerprints:
         assert instance_fingerprint(a) == instance_fingerprint(renamed)
 
     def test_numeric_type_does_not_participate(self):
-        # dmax=5 and dmax=5.0 compare equal; content addressing must
-        # not split them into two cache slots.
-        from repro import ProblemInstance
-
+        # dmax=5 and dmax=5.0 compare equal, and so do -0.0 and 0.0
+        # as a delta or as dmax; content addressing must not split
+        # them into two cache slots.
         a = random_tree(6, 12, capacity=15, dmax=5.0, seed=9)
-        b = ProblemInstance(a.tree, int(a.capacity), 5, a.policy)
-        assert a == b
-        assert instance_fingerprint(a) == instance_fingerprint(b)
+        pairs = [(a, ProblemInstance(a.tree, int(a.capacity), 5, a.policy))]
+        zero = Tree([-1, 0, 0], [0, 0.0, 1], [0, 3, 4])
+        negative_zero = Tree([-1, 0, 0], [0, -0.0, 1], [0, 3, 4])
+        pairs.append(
+            (ProblemInstance(zero, 5), ProblemInstance(negative_zero, 5))
+        )
+        pairs.append(
+            (ProblemInstance(zero, 5, 0.0), ProblemInstance(zero, 5, -0.0))
+        )
+        for x, y in pairs:
+            assert x == y
+            assert instance_fingerprint(x) == instance_fingerprint(y)
+
+    def test_golden_values_pin_the_key(self):
+        # blake2b-256 over the packed columns, little-endian.  If these
+        # move, every cache key, WAL record and routing decision of a
+        # deployed build stops matching this one: update them only
+        # together with an upgrade note in docs/durability.md.
+        assert instance_fingerprint is core_instance_fingerprint
+        plain = ProblemInstance(
+            Tree([-1, 0, 0, 1], [0, 2.0, 1.5, 0.5], [0, 0, 4, 7]), 10
+        )
+        assert instance_fingerprint(plain) == (
+            "cace89dc3e1312b38c173171e6f2ef0200c8e8d3b5d89ce523c3c9161c76f0b3"
+        )
+        down = ProblemInstance(
+            Tree([-1, 0, 0, 1, 1], [0, 1.0, 3.0, 2.0, 0.25], [0, 0, 5, 6, 9]),
+            12,
+            3.5,
+            Policy.MULTIPLE,
+        )
+        assert instance_fingerprint(down, frozenset({1, 0})) == (
+            "574d7ef219dcc39c88e200ad90dbaa498749348accf9aa2619ddfb934e8e8026"
+        )
+
+    def test_wire_key_matches_instance_fingerprint(self):
+        # The cluster router keys the parsed JSON body without building
+        # the instance; it must agree with the workers' key.
+        instances = [
+            make_instance(spec)
+            for mix in ("quick", "default")
+            for spec in MIXES[mix]
+        ]
+        instances += [build_scenario(family) for family in family_names()]
+        for inst in instances:
+            wire = json.loads(json.dumps(SolveRequest(instance=inst).to_wire()))
+            assert instance_fingerprint_from_dict(
+                wire["instance"]
+            ) == instance_fingerprint(inst)
 
     def test_content_changes_change_fingerprint(self):
         a = random_tree(6, 12, capacity=15, dmax=5.0, seed=9)

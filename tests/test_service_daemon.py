@@ -9,9 +9,9 @@ import urllib.request
 
 import pytest
 
-from repro import check_placement
+from repro import ProblemInstance, Tree, check_placement
 from repro.instances import random_tree
-from repro.service import SolveRequest, SolveResponse, make_server
+from repro.service import PlacementService, SolveRequest, SolveResponse, make_server
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,21 @@ class TestSolvers:
 
 
 class TestSolve:
+    def test_numbers_beyond_int64_keep_their_status(self, base_url):
+        # The content key packs int64 columns, but a demand or a
+        # capacity of 10**20 is a valid instance: it must be answered
+        # (infeasible / ok), in-process and over HTTP.
+        huge = 10**20
+        cases = [
+            (ProblemInstance(Tree([-1, 0, 0], [0, 1, 1], [0, huge, 3]), 5), "infeasible"),
+            (ProblemInstance(Tree([-1, 0, 0], [0, 1, 1], [0, 4, 3]), huge), "ok"),
+        ]
+        with PlacementService() as service:
+            for instance, status in cases:
+                request = SolveRequest(instance=instance)
+                assert service.solve(request).status == status
+                assert _post(base_url + "/v1/solve", request.to_wire())["status"] == status
+
     def test_solve_returns_checker_valid_placement(self, base_url, inst):
         wire = _post(
             base_url + "/v1/solve", SolveRequest(instance=inst).to_wire()
