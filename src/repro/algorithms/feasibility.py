@@ -20,14 +20,14 @@ Both return ``None`` when infeasible.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.arrays import flat_tree
+from ..core.arrays import FlatTree, flat_tree
 from ..core.instance import ProblemInstance
 from ..core.tree import NO_PARENT, Tree
 from ..flow import FlowNetwork, max_flow
 
-__all__ = ["multiple_assignment", "single_assignment", "eligible_map"]
+__all__ = ["multiple_assignment", "single_assignment", "eligible_map", "NodRoutes"]
 
 
 def eligible_map(
@@ -159,49 +159,103 @@ def _assign_nod(
     induction up the tree the greedy's forwarded amount at every node is
     a lower bound over *all* assignments (a replica can only serve its
     own subtree, so absorbing early never starves anyone above), hence
-    units stranded at the root certify infeasibility.
+    units stranded at the root certify infeasibility.  This is
+    :meth:`NodRoutes.route` over every position.
     """
     ft = flat_tree(tree)
     n = ft.n
-    demand = ft.demand
-    first_child = ft.first_child
-    next_sibling = ft.next_sibling
-    post_to_orig = ft.post_to_orig
-    pending: List[Optional[List[List[int]]]] = [None] * n
-    out: Dict[Tuple[int, int], int] = {}
-    for p in range(n):
-        v = post_to_orig[p]
-        c = first_child[p]
-        if c < 0:
-            r = demand[p]
-            cur: List[List[int]] = [[v, r]] if r > 0 else []
-        else:
-            cur = []
-            while c >= 0:
-                ch = pending[c]
-                if ch:
-                    cur.extend(ch)
-                c = next_sibling[c]
-        if cur and v in rset:
-            room = W
-            k = 0
-            ncur = len(cur)
-            while k < ncur and room > 0:
-                entry = cur[k]
-                amt = entry[1]
-                if amt <= room:
-                    out[(entry[0], v)] = amt
-                    room -= amt
-                    k += 1
-                else:
-                    out[(entry[0], v)] = room
-                    entry[1] = amt - room
-                    room = 0
-            cur = cur[k:]
-        pending[p] = cur
-    if pending[ft.root]:
+    orig_to_post = ft.orig_to_post
+    host = bytearray(n)
+    for v in rset:
+        if 0 <= v < n:
+            host[orig_to_post[v]] = 1
+    routes = NodRoutes(n)
+    if not routes.route(ft, host, W, range(n)):
         return None
-    return out
+    return routes.assignments
+
+
+class NodRoutes:
+    """The lowest-server-first Multiple-NoD routing, memoized per position.
+
+    Attributes, indexed by post position of the routed tree's
+    :class:`~repro.core.arrays.FlatTree`:
+
+    pending:
+        The ``(client, amount)`` entries ``subtree(p)`` forwards above
+        ``p``, in FIFO order.
+    served:
+        The clients the replica at ``p`` serves (empty elsewhere).
+    assignments:
+        ``(client, site) -> amount`` over every position.
+
+    Entries are tuples and a stored list is never mutated again, so a
+    later :meth:`route` that re-routes only some positions reads the
+    others' entries as they were.  A cold routing is one :meth:`route`
+    over every position of a fresh memo.
+    """
+
+    __slots__ = ("pending", "served", "assignments")
+
+    def __init__(self, n: int) -> None:
+        self.pending: List[Sequence[Tuple[int, int]]] = [()] * n
+        self.served: List[Sequence[int]] = [()] * n
+        self.assignments: Dict[Tuple[int, int], int] = {}
+
+    def route(
+        self, ft: FlatTree, host: bytearray, W: int, positions: Iterable[int]
+    ) -> bool:
+        """Re-route ``positions`` (ascending) for the replica flags ``host``.
+
+        Every position whose demand or replica flag changed since the
+        last routing must be listed with its whole root path; the rest
+        keep their memo.  Returns ``False`` when entries are stranded at
+        the root (the replica set cannot serve the demand).
+        """
+        pending = self.pending
+        served = self.served
+        assign = self.assignments
+        post_to_orig = ft.post_to_orig
+        demand = ft.demand
+        first_child = ft.first_child
+        next_sibling = ft.next_sibling
+        for p in positions:
+            v = post_to_orig[p]
+            for client in served[p]:
+                del assign[(client, v)]
+            c = first_child[p]
+            if c < 0:
+                r = demand[p]
+                cur: List[Tuple[int, int]] = [(v, r)] if r > 0 else []
+            else:
+                cur = []
+                while c >= 0:
+                    ch = pending[c]
+                    if ch:
+                        cur.extend(ch)
+                    c = next_sibling[c]
+            if cur and host[p]:
+                room = W
+                k = 0
+                ncur = len(cur)
+                made: List[int] = []
+                while k < ncur and room > 0:
+                    client, amt = cur[k]
+                    made.append(client)
+                    if amt <= room:
+                        assign[(client, v)] = amt
+                        room -= amt
+                        k += 1
+                    else:
+                        assign[(client, v)] = room
+                        cur[k] = (client, amt - room)
+                        room = 0
+                served[p] = made
+                cur = cur[k:]
+            else:
+                served[p] = ()
+            pending[p] = cur
+        return not pending[ft.root]
 
 
 def single_assignment(

@@ -50,6 +50,20 @@ the instance's tree: post-order positions, so the bottom-up pass is
 the same :func:`fold` and :func:`place`, re-folding only nodes whose
 subtree changed and forbidding failed hosts.
 
+Reconstruction and routing
+--------------------------
+:func:`place` records what it reads off the folds in a
+:class:`Reconstruction`: per post position, the amount forwarded into
+it and its replica decision, plus the lowest-server-first routing of
+the replica set (:class:`~repro.algorithms.feasibility.NodRoutes`:
+the entries pending above each position and the clients served there).
+Handed the last placement's memo and the positions whose fold changed,
+it re-walks only subtrees whose fold or incoming amount changed and
+re-routes only the root paths of positions whose demand or replica
+flag changed — a sparse tick of the dynamic engine costs its dirty root
+paths.  A cold solve is the same code over a fresh memo with every
+position dirty.
+
 Invariants
 ----------
 The placements are **bit-identical** to the original object-graph
@@ -58,15 +72,16 @@ formulation (preserved as
 probes break argmin ties toward the smallest split / absorb index, as
 the dense kernels do — property-tested in ``tests/test_arrays.py`` and
 ``tests/test_kernel_conformance.py`` and benchmarked by ``repro
-bench`` (``docs/performance.md``).  The replica set is routed to
-clients by :func:`~repro.algorithms.feasibility.multiple_assignment`.
-(The paper's framework treats request counts as integers, which this DP
-requires.)
+bench`` (``docs/performance.md``).  The routing is the one
+:func:`~repro.algorithms.feasibility.multiple_assignment` runs on a NoD
+instance.  (The paper's framework treats request counts as integers,
+which this DP requires.)
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.arrays import FlatTree, flat_tree
 from ..core.errors import InfeasibleInstanceError, PolicyError
@@ -84,8 +99,9 @@ from ..core.kernels import (
 from ..core.placement import Placement
 from ..core.policies import Policy
 from ..runner.registry import register_solver
+from .feasibility import NodRoutes
 
-__all__ = ["NodeFold", "fold", "place", "multiple_nod_dp"]
+__all__ = ["NodeFold", "Reconstruction", "fold", "place", "multiple_nod_dp"]
 
 #: One node's fold: its row and, for an internal node, the pool row
 #: before each child's convolution, keyed by the child's post position
@@ -145,19 +161,66 @@ def fold(
         folds[p] = (absorb(pool, u_cap, W, can_host), before, pool)
 
 
+class Reconstruction:
+    """What :func:`place` read off the folds, memoized per post position.
+
+    Attributes
+    ----------
+    forward:
+        ``forward[p]`` — the amount ``p`` forwards to its parent (the
+        amount the walk hands into ``p`` from above).
+    host:
+        ``host[p]`` — 1 where the walk opened a replica.
+    replicas:
+        The original ids of those positions.
+    routes:
+        The routing of that replica set
+        (:class:`~repro.algorithms.feasibility.NodRoutes`).
+
+    A fresh memo describes nothing; :func:`place` with ``dirty=None``
+    fills every position.
+    """
+
+    __slots__ = ("forward", "host", "replicas", "routes")
+
+    def __init__(self, n: int) -> None:
+        self.forward = [0] * n
+        self.host = bytearray(n)
+        self.replicas: Set[int] = set()
+        self.routes = NodRoutes(n)
+
+
 def place(
     instance: ProblemInstance,
     ft: FlatTree,
     folds: Sequence[NodeFold],
     failed: FrozenSet[int] = frozenset(),
+    memo: Optional[Reconstruction] = None,
+    dirty: Optional[Sequence[int]] = None,
 ) -> Placement:
     """The placement the folded DP describes.
 
     Walks the folds top-down from ``g_root(0)``: at each internal node
     the absorb probe decides the replica there (never on a ``failed``
     host), then the convolution probes split the pool amount across the
-    children, last child first.  The replica set is routed with
-    :func:`~repro.algorithms.feasibility.multiple_assignment`.
+    children, last child first.  The replica set is routed
+    lowest-server-first
+    (:meth:`~repro.algorithms.feasibility.NodRoutes.route`).
+
+    Parameters
+    ----------
+    memo:
+        The :class:`Reconstruction` of the last placement over the same
+        layout, updated in place; ``None`` starts a fresh one over
+        every position.
+    dirty:
+        The positions whose fold changed since ``memo`` was filled
+        (ancestor-closed, ascending), or ``None`` for every position.
+        The walk skips a subtree whose fold did not change and whose
+        incoming amount equals the memo's — in post order, it jumps to
+        ``subtree_begin[p] - 1`` — and the routing re-routes the root
+        paths of ``dirty`` and of every position whose replica flag
+        flipped.  With ``dirty=None`` this is the cold reconstruction.
 
     Raises
     ------
@@ -171,44 +234,67 @@ def place(
             "demand cannot be covered"
             + (" without the failed hosts" if failed else "")
         )
+    n = ft.n
+    if memo is None:
+        memo, dirty = Reconstruction(n), None
     W = instance.capacity
     post_to_orig = ft.post_to_orig
     demand = ft.demand
-    replicas: List[int] = []
-    forward = [0] * ft.n
+    subtree_begin = ft.subtree_begin
+    forward = memo.forward
+    host = memo.host
+    replicas = memo.replicas
+    if dirty is None:
+        stale = bytearray(b"\x01") * n
+    else:
+        stale = bytearray(n)
+        for p in dirty:
+            stale[p] = 1
+    flipped: List[int] = []
     # Descending post positions visit every parent before its children.
-    for p in range(root, -1, -1):
+    p = root
+    while p >= 0:
+        if not stale[p]:
+            p = subtree_begin[p] - 1
+            continue
         u = forward[p]
         _row, before, pool = folds[p]
+        h = 0
         if before is None:
             if u < demand[p]:
-                replicas.append(post_to_orig[p])
-            continue
-        if post_to_orig[p] not in failed:
-            src = absorb_arg(pool, u, W)
-            if src >= 0:
-                replicas.append(post_to_orig[p])
-                u = src
-        value = value_at(pool, u)
-        for k in range(len(before) - 1, -1, -1):
-            child, prior = before[k]
-            j = conv_arg(folds[child][0], prior, u, value)
-            assert j >= 0
-            forward[child] = j
-            u -= j
-            value = value_at(prior, u)
-        # ``u`` is now the initial pool's zero element.
-        assert u == 0
+                h = 1
+        else:
+            if post_to_orig[p] not in failed:
+                src = absorb_arg(pool, u, W)
+                if src >= 0:
+                    h = 1
+                    u = src
+            value = value_at(pool, u)
+            for k in range(len(before) - 1, -1, -1):
+                child, prior = before[k]
+                j = conv_arg(folds[child][0], prior, u, value)
+                assert j >= 0
+                if j != forward[child]:
+                    forward[child] = j
+                    stale[child] = 1
+                u -= j
+                value = value_at(prior, u)
+            # ``u`` is now the initial pool's zero element.
+            assert u == 0
+        if h != host[p]:
+            host[p] = h
+            flipped.append(p)
+            if h:
+                replicas.add(post_to_orig[p])
+            else:
+                replicas.discard(post_to_orig[p])
+        p -= 1
 
-    from .feasibility import multiple_assignment
-
-    assign = multiple_assignment(instance, replicas)
-    if assign is None:  # pragma: no cover - contradicts DP feasibility
+    positions = range(n) if dirty is None else ft.root_paths(chain(dirty, flipped))
+    routes = memo.routes
+    if not routes.route(ft, host, W, positions):  # pragma: no cover - contradicts DP feasibility
         raise PolicyError("DP replica set failed flow verification")
-    used = set(replicas)
-    for (_c, s) in assign:
-        used.add(s)
-    return Placement(used, dict(assign))
+    return Placement._trusted(frozenset(replicas), dict(routes.assignments))
 
 
 @register_solver(

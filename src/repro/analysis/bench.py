@@ -24,17 +24,31 @@ The flagship corpus entry is a 220-node Multiple-NoD tree on which the
 flat-path ``multiple-nod-dp`` must hold a healthy speedup over the
 object-graph baseline with bit-identical placements (see
 ``docs/performance.md`` and the equivalence property tests in
-``tests/test_arrays.py``).
+``tests/test_arrays.py``).  The quick and full profiles also time the
+dynamic engine's tick: a 1-event ``DynamicPlacement.apply`` on the
+9544-node ISP mesh, per policy (solver name :data:`TICK`).
+
+Timing
+------
+Every entry is the best of ``repeats`` samples, and a sample times as
+many back-to-back calls as fill :data:`SAMPLE_S` (after one untimed
+warm-up call, with the garbage collector paused); ``wall_s`` is the
+sample's time per call.  A ~1 ms scheduler hiccup then spreads over
+the sample's calls instead of landing on the one timed call of a
+sub-millisecond entry.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import platform
 import sys
 import time
 from datetime import date, datetime, timezone
+from functools import partial
+from itertools import cycle
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -57,6 +71,12 @@ BENCH_SCHEMA_VERSION = 1
 
 #: Snapshot filename prefix; ``repro bench`` writes ``BENCH_<date>.json``.
 BENCH_PREFIX = "BENCH_"
+
+#: Pseudo-solver of the tick entries: one 1-event ``DynamicPlacement.apply``.
+TICK = "dynamic-apply"
+
+#: Shortest timing sample, in seconds (see "Timing" above).
+SAMPLE_S = 0.02
 
 #: (registered solver, reference implementation) pairs timed head-to-head.
 _REFERENCE_OF = {
@@ -81,8 +101,9 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
     ----------
     profile:
         ``"full"`` — every pinned instance; ``"quick"`` — the two
-        220-node NoD flagships (the CI configuration); ``"smoke"`` —
-        tiny instances of the same shapes, for the test suite.
+        220-node NoD flagships and the 9544-node mesh ticks (the CI
+        configuration); ``"smoke"`` — tiny instances of the same
+        shapes, for the test suite.
 
     Returns
     -------
@@ -94,16 +115,19 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
     ValueError
         On an unknown profile name.
     """
-    from ..instances import random_binary_tree, random_tree
+    from ..instances import isp_mesh, random_binary_tree, random_tree
 
     if profile == "smoke":
         nod_multi = random_tree(
             8, 16, capacity=8, dmax=None, policy=Policy.MULTIPLE,
             max_arity=3, seed=3,
         )
+        mesh = isp_mesh(40, capacity=150, seed=3)
         return [
             ("smoke-nod-multi", nod_multi, ["multiple-nod-dp", "multiple-greedy"]),
             ("smoke-nod-single", nod_multi.with_policy(Policy.SINGLE), ["single-nod"]),
+            ("smoke-mesh-single", mesh, [TICK]),
+            ("smoke-mesh-multi", mesh.with_policy(Policy.MULTIPLE), [TICK]),
         ]
     if profile not in ("full", "quick"):
         raise ValueError(f"unknown bench profile {profile!r}")
@@ -116,10 +140,14 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
         max_arity=3, seed=3,
     )
     assert len(nod220.tree) == 220, "pinned corpus drifted"
+    # The replay benchmark's mesh: 9544 nodes, 6000 clients.
+    mesh = isp_mesh(6000, capacity=300, seed=3)
     corpus: List[Tuple[str, ProblemInstance, List[str]]] = [
         ("nod220-multi", nod220, ["multiple-nod-dp", "multiple-greedy"]),
         ("nod220-single", nod220.with_policy(Policy.SINGLE),
          ["single-nod", "greedy-packing"]),
+        ("mesh-single", mesh, [TICK]),
+        ("mesh-multi", mesh.with_policy(Policy.MULTIPLE), [TICK]),
     ]
     if profile == "full":
         d220 = random_tree(
@@ -161,16 +189,57 @@ def _calibrate() -> float:
     return best
 
 
-def _time_best(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
+def _time_best(
+    fn: Callable[[], object], repeats: int
+) -> Tuple[float, object, int]:
+    """``(seconds per call, first result, calls per sample)``.
+
+    One untimed warm-up call sizes the sample: enough calls to fill
+    :data:`SAMPLE_S`.  The time is the best of ``repeats`` samples,
+    each run with the garbage collector paused, as :mod:`timeit` does.
+    """
+    t0 = time.perf_counter()
+    result = fn()
+    first = time.perf_counter() - t0
+    calls = max(1, min(1000, math.ceil(SAMPLE_S / first))) if first > 0 else 1000
     best = math.inf
-    result: object = None
     for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            elapsed = (time.perf_counter() - t0) / calls
+        finally:
+            gc.enable()
         if elapsed < best:
             best = elapsed
-    return best, result
+    return best, result, calls
+
+
+def _tick(instance: ProblemInstance) -> Callable[[], object]:
+    """A call that applies one demand event to a standing engine.
+
+    The engine is built here, untimed.  Calls alternate one pinned
+    client between its level and the level plus one, so every call
+    re-folds that client's root path.
+    """
+    from ..dynamic import DemandEvent, DynamicPlacement
+
+    engine = DynamicPlacement(instance)
+    clients = instance.tree.clients
+    client = clients[len(clients) // 2]
+    level = instance.tree.requests(client)
+    levels = cycle((level + 1, level))
+
+    def apply() -> object:
+        outcome = engine.apply([DemandEvent(client, next(levels))])
+        if not outcome.ok:
+            raise RuntimeError(outcome.error)
+        return outcome.placement
+
+    return apply
 
 
 def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
@@ -181,14 +250,14 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
     profile:
         Corpus profile (see :func:`bench_corpus`).
     repeats:
-        Timing repetitions per (instance, solver); the best run is
-        recorded.  Defaults to 3 for ``full``, 1 otherwise.
+        Timing samples per (instance, solver); the best sample is
+        recorded.  Defaults to 3, or 1 for ``smoke``.
 
     Returns
     -------
     dict
-        The snapshot: per-solver ``entries`` (wall time, node
-        throughput), flat-vs-reference ``comparisons`` (speedup +
+        The snapshot: per-solver ``entries`` (wall time per call, calls
+        per sample, node throughput), flat-vs-reference ``comparisons`` (speedup +
         bit-identity), FlatTree ``flat_cache`` counter deltas, the
         ``calibration_s`` yardstick and environment metadata.  Pass it
         to :func:`write_snapshot` / :func:`compare_snapshots`.
@@ -196,7 +265,7 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
     from ..runner.registry import get_solver
 
     if repeats is None:
-        repeats = 3 if profile == "full" else 1
+        repeats = 1 if profile == "smoke" else 3
     corpus = bench_corpus(profile)
     calibration = _calibrate()
     cache_before = flat_cache_stats()
@@ -206,9 +275,12 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
     for name, inst, solvers in corpus:
         n_nodes = len(inst.tree)
         for solver in solvers:
-            spec = get_solver(solver)
             try:
-                wall, placement = _time_best(lambda: spec.fn(inst), repeats)
+                if solver == TICK:
+                    fn = _tick(inst)
+                else:
+                    fn = partial(get_solver(solver).fn, inst)
+                wall, placement, calls = _time_best(fn, repeats)
             except Exception as exc:  # noqa: BLE001 — recorded, not raised
                 entries.append({
                     "instance": name, "solver": solver, "n_nodes": n_nodes,
@@ -222,12 +294,15 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                 "status": "ok",
                 "wall_s": wall,
                 "repeats": repeats,
+                "calls": calls,
                 "throughput_nps": n_nodes / wall if wall > 0 else None,
                 "n_replicas": placement.n_replicas,
             })
             ref = _reference_fn(solver)
             if ref is not None:
-                ref_wall, ref_placement = _time_best(lambda: ref(inst), repeats)
+                ref_wall, ref_placement, _calls = _time_best(
+                    partial(ref, inst), repeats
+                )
                 comparisons.append({
                     "instance": name,
                     "solver": solver,
@@ -237,6 +312,10 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                     "identical": placement == ref_placement,
                 })
 
+    # Calibrated before and after the corpus, keeping the faster: the
+    # entries are best-of samples too, and a host-speed dip during one
+    # calibration would otherwise skew every normalised time.
+    calibration = min(calibration, _calibrate())
     cache_after = flat_cache_stats()
     return {
         "schema": BENCH_SCHEMA_VERSION,
@@ -381,9 +460,12 @@ def compare_snapshots(
         A solver regresses when its normalised time exceeds the
         baseline's by more than this percentage.
     min_wall_s:
-        Entries faster than this are never flagged — sub-millisecond
-        timings are jitter, not signal.  The quick flagship's
-        ``multiple-nod-dp`` entry (~2 ms) must stay above it.
+        Entries whose timing sample (``wall_s`` times ``calls``, one
+        call for snapshots that predate ``calls``) is shorter than
+        this are never flagged — a sub-millisecond sample is dominated
+        by jitter.  A sample spans at least :data:`SAMPLE_S`, so every
+        entry is gated, on a mean that a one-call hiccup moves by a
+        fraction of its own size.
 
     Returns
     -------
@@ -421,7 +503,7 @@ def compare_snapshots(
             f"{e['wall_s'] * 1e3:8.2f}ms vs {b['wall_s'] * 1e3:8.2f}ms "
             f"(normalised {delta_pct:+6.1f}%)"
         )
-        if delta_pct > threshold_pct and e["wall_s"] >= min_wall_s:
+        if delta_pct > threshold_pct and e["wall_s"] * e.get("calls", 1) >= min_wall_s:
             line += "  << REGRESSION"
             regressions.append(line)
         lines.append(line)

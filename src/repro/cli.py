@@ -1130,13 +1130,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory for BENCH_*.json snapshots")
     bn.add_argument("--quick", action="store_true",
                     help="run the reduced CI corpus (the 220-node "
-                    "NoD flagships only, one repetition)")
+                    "NoD flagships and the 9544-node mesh ticks)")
     bn.add_argument("--profile", choices=["full", "quick", "smoke"],
                     default=None,
                     help="explicit corpus profile (overrides --quick)")
     bn.add_argument("--repeats", type=int, default=None,
-                    help="timing repetitions per solver (best run kept; "
-                    "default 3 for full, 1 otherwise)")
+                    help="timing samples per solver, each of several "
+                    "calls (best sample kept; default 3, 1 for smoke)")
     bn.add_argument("--baseline", default="auto",
                     help="snapshot to compare against: a path, 'auto' "
                     "(latest BENCH_*.json in --out-dir) or 'none'")

@@ -18,9 +18,11 @@ or thread scheduling.  Only the *latencies* vary between runs; the
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.request
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
@@ -289,6 +291,10 @@ def run_loadtest(
     simply empty against a single daemon (no ``X-Repro-Worker``
     header).  Thread-pool concurrency only affects *timing*: the
     request sequence itself is fixed by ``(seed, n_requests, mix)``.
+
+    Each client thread sends over one persistent HTTP/1.1 connection,
+    as real clients do, and opens a new one only after a transport
+    error or a ``Connection: close`` answer.
     """
     requests = request_mix(seed, n_requests, mix)
     report = LoadTestReport(
@@ -299,23 +305,45 @@ def run_loadtest(
         concurrency=concurrency,
         distinct_instances=len({r.instance_fp for r in requests}),
     )
-    solve_url = url.rstrip("/") + "/v1/solve"
+    target = urllib.parse.urlsplit(url)
+    solve_path = target.path.rstrip("/") + "/v1/solve"
     results: List[tuple] = [None] * len(requests)  # type: ignore[list-item]
+    local = threading.local()
+    opened: List[http.client.HTTPConnection] = []
+
+    def _connection() -> http.client.HTTPConnection:
+        conn = getattr(local, "conn", None)
+        if conn is None:
+            conn = local.conn = http.client.HTTPConnection(
+                target.hostname, target.port, timeout=timeout
+            )
+            opened.append(conn)
+        return conn
+
+    def _drop() -> None:
+        conn = getattr(local, "conn", None)
+        if conn is not None:
+            conn.close()
+            local.conn = None
 
     def _one(load_req: LoadRequest) -> None:
         body = json.dumps(load_req.wire).encode("utf-8")
         t0 = time.perf_counter()
         worker = None
         try:
-            req = urllib.request.Request(
-                solve_url, data=body,
+            conn = _connection()
+            conn.request(
+                "POST", solve_path, body=body,
                 headers={"Content-Type": "application/json"},
             )
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                payload = json.loads(resp.read())
-                worker = resp.headers.get(WORKER_HEADER)
-                http_status = resp.status
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+            worker = resp.getheader(WORKER_HEADER)
+            http_status = resp.status
+            if resp.will_close:
+                _drop()
         except Exception:  # noqa: BLE001 - transport failure = failed req
+            _drop()
             results[load_req.index] = (
                 (time.perf_counter() - t0) * 1e3, "transport", False, None
             )
@@ -330,15 +358,19 @@ def run_loadtest(
         results[load_req.index] = (latency_ms, status, hit, worker)
 
     t_start = time.perf_counter()
-    if concurrency <= 1:
-        for r in requests:
-            _one(r)
-    else:
-        with ThreadPoolExecutor(
-            max_workers=concurrency, thread_name_prefix="loadtest"
-        ) as pool:
-            list(pool.map(_one, requests))
-    report.wall_s = time.perf_counter() - t_start
+    try:
+        if concurrency <= 1:
+            for r in requests:
+                _one(r)
+        else:
+            with ThreadPoolExecutor(
+                max_workers=concurrency, thread_name_prefix="loadtest"
+            ) as pool:
+                list(pool.map(_one, requests))
+        report.wall_s = time.perf_counter() - t_start
+    finally:
+        for conn in opened:
+            conn.close()
 
     latencies: List[float] = []
     for latency_ms, status, hit, worker in results:

@@ -29,21 +29,60 @@ solvers rewritten on this substrate — ``multiple-nod-dp``,
 are **bit-identical** to their original object-graph formulations; the
 equivalence is property-tested in ``tests/test_arrays.py`` and the
 speedup is tracked by ``repro bench`` (see ``docs/performance.md``).
+
+Derived layouts
+---------------
+A demand copy of a tree (:meth:`Tree.with_demands`) whose source has a
+compiled layout gets one **derived** from it
+(:meth:`FlatTree.with_demands`) instead of a compile: the topology
+arrays are shared, ``demand`` and ``subtree_demand`` are copied and
+patched along the changed clients' root paths.  A derived layout
+records what it changed — ``changed`` (post positions whose demand
+differs from the source's) and ``dirty`` (their root paths, ascending)
+— and the ``serial`` of its source, never the source itself, so a
+chain of ticks keeps no predecessor alive.  The incremental backends
+take ``dirty`` as their re-fold set when the source is the layout they
+last folded (:mod:`repro.dynamic.incremental`).
+
+A dense tick dirties most of the tree; then a path-by-path patch costs
+more than one whole-array pass.  :data:`DENSE_FRACTION` is the one
+switch: a tick whose dirty root paths cover more than that fraction of
+the nodes recomputes ``subtree_demand`` in one pass, and the backends
+rebuild their placement state whole.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List
+from itertools import count
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .tree import NO_PARENT, Tree
 
-__all__ = ["FlatTree", "flat_tree", "flat_cache_stats", "reset_flat_cache_stats"]
+__all__ = [
+    "DENSE_FRACTION",
+    "FlatTree",
+    "flat_tree",
+    "flat_cache_stats",
+    "reset_flat_cache_stats",
+]
 
 #: Sentinel for "no node" in ``parent`` / ``first_child`` / ``next_sibling``.
 _NONE = -1
 
-_STATS: Dict[str, int] = {"compiles": 0, "hits": 0, "nodes_compiled": 0}
+#: Dirty fraction above which a tick takes the whole-array paths.  On
+#: the 9544-node mesh (``isp_mesh(6000, capacity=300, seed=3)``) a
+#: sparse tick dirties 7-50 nodes (under 1 %) and a ``diurnal+flash``
+#: tick about 9340 (98 %).  Measured there, a whole apply with every stage
+#: forced either way breaks even between 55 % dirty (path-local ahead
+#: by 7-10 %) and 79 % (whole arrays ahead by 11-12 %), for both
+#: policies; docs/simulation.md has the table.
+DENSE_FRACTION = 0.65
+
+_STATS: Dict[str, int] = {"compiles": 0, "hits": 0, "derived": 0, "nodes_compiled": 0}
+
+#: Layout serial numbers: a derived layout names its source by serial.
+_SERIALS = count()
 
 
 def flat_cache_stats() -> Dict[str, int]:
@@ -53,7 +92,8 @@ def flat_cache_stats() -> Dict[str, int]:
     -------
     dict
         ``compiles`` (trees compiled), ``hits`` (cached layouts
-        returned) and ``nodes_compiled`` (total nodes across all
+        returned), ``derived`` (layouts derived from a source layout by
+        a demand copy) and ``nodes_compiled`` (total nodes across all
         compilations).  ``repro bench`` snapshots these to show how
         often the hot paths re-derive the layout versus reuse it.
     """
@@ -101,6 +141,15 @@ class FlatTree:
         post positions ``subtree_begin[p] .. p``.
     subtree_demand:
         Total requests inside ``subtree(p)``.
+    serial:
+        Unique number of this layout.
+    source:
+        ``serial`` of the layout this one was derived from (``-1`` for a
+        compiled layout).
+    changed / dirty:
+        For a derived layout, the post positions whose demand differs
+        from the source's, and their root paths in ascending order
+        (``None`` for a compiled layout).
 
     Invariants
     ----------
@@ -121,6 +170,10 @@ class FlatTree:
         "depth",
         "subtree_begin",
         "subtree_demand",
+        "serial",
+        "source",
+        "changed",
+        "dirty",
     )
 
     def __init__(self, tree: Tree) -> None:
@@ -182,8 +235,83 @@ class FlatTree:
         self.depth = depth
         self.subtree_begin = subtree_begin
         self.subtree_demand = subtree_demand
+        self.serial = next(_SERIALS)
+        self.source = -1
+        self.changed: Optional[List[int]] = None
+        self.dirty: Optional[List[int]] = None
+
+    def with_demands(
+        self, nodes: Sequence[int], requests: Sequence[int]
+    ) -> "FlatTree":
+        """The layout of a demand copy of this layout's tree.
+
+        Parameters
+        ----------
+        nodes:
+            Original ids of the clients whose demand changed.
+        requests:
+            The copy's whole request column, by original id.
+
+        Returns
+        -------
+        FlatTree
+            A layout sharing this one's topology arrays, with
+            ``demand`` and ``subtree_demand`` patched along the changed
+            clients' root paths — or recomputed in one pass when those
+            paths cover more than :data:`DENSE_FRACTION` of the nodes.
+        """
+        copy = FlatTree.__new__(FlatTree)
+        for name in _TOPOLOGY:
+            setattr(copy, name, getattr(self, name))
+        orig_to_post = self.orig_to_post
+        parent = self.parent
+        old = self.demand
+        demand = old.copy()
+        changed = []
+        for v in nodes:
+            p = orig_to_post[v]
+            demand[p] = requests[v]
+            changed.append(p)
+        dirty = self.root_paths(changed)
+        if len(dirty) > DENSE_FRACTION * self.n:
+            subtree_demand = demand.copy()
+            for p in range(self.n - 1):
+                subtree_demand[parent[p]] += subtree_demand[p]
+        else:
+            subtree_demand = self.subtree_demand.copy()
+            for p in changed:
+                d = demand[p] - old[p]
+                while p >= 0:
+                    subtree_demand[p] += d
+                    p = parent[p]
+        copy.demand = demand
+        copy.subtree_demand = subtree_demand
+        copy.serial = next(_SERIALS)
+        copy.source = self.serial
+        copy.changed = changed
+        copy.dirty = dirty
+        _STATS["derived"] += 1
+        return copy
 
     # ------------------------------------------------------------------
+    def root_paths(self, positions: Iterable[int]) -> List[int]:
+        """The union of the root paths of ``positions``, ascending.
+
+        Each node is visited once: a walk stops at the first node an
+        earlier walk reached.  Ascending post order lists children
+        before parents — the order a bottom-up re-fold needs.
+        """
+        parent = self.parent
+        seen = bytearray(self.n)
+        out: List[int] = []
+        for p in positions:
+            while p >= 0 and not seen[p]:
+                seen[p] = 1
+                out.append(p)
+                p = parent[p]
+        out.sort()
+        return out
+
     def children(self, p: int) -> Iterator[int]:
         """Post positions of ``p``'s children, in original child order.
 
@@ -232,6 +360,21 @@ class FlatTree:
         return f"FlatTree(n={self.n}, total_demand={self.subtree_demand[self.root]})"
 
 
+#: The slots a derived layout shares with its source.
+_TOPOLOGY = (
+    "n",
+    "root",
+    "post_to_orig",
+    "orig_to_post",
+    "parent",
+    "first_child",
+    "next_sibling",
+    "delta",
+    "depth",
+    "subtree_begin",
+)
+
+
 def flat_tree(tree: Tree) -> FlatTree:
     """The cached flat layout of ``tree``, compiling it on first use.
 
@@ -240,6 +383,8 @@ def flat_tree(tree: Tree) -> FlatTree:
     tree:
         Any :class:`Tree`.  Immutability makes the cache sound: the
         layout is attached to the tree object and can never go stale.
+        A demand copy of a tree with a compiled layout already carries
+        a derived one, so this returns it without compiling.
 
     Returns
     -------

@@ -12,6 +12,7 @@ cluster's routing, the dynamic engine and the durable state all use it.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
 from array import array
@@ -50,6 +51,20 @@ class ProblemInstance:
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        # Every solver assumes an integer W, and the content key packs
+        # it as one: 2.0 is W=2, but 2.5 must not share W=2's key.
+        W = self.capacity
+        try:
+            operator.index(W)
+        except TypeError:
+            try:
+                integral = math.isfinite(W) and float(W).is_integer()
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise InvalidInstanceError(
+                    f"server capacity must be a finite integer, got {W!r}"
+                )
         if self.capacity <= 0:
             raise InvalidInstanceError(
                 f"server capacity must be positive, got {self.capacity}"
@@ -185,12 +200,36 @@ def fingerprint_columns(
     TypeError / ValueError / OverflowError
         If a column holds something that is not a finite number.
     """
+    return _digest(
+        len(parents),
+        _topology_columns(parents, deltas),
+        requests,
+        capacity,
+        dmax,
+        policy,
+        failed,
+    )
+
+
+def _topology_columns(parents: Sequence[int], deltas: Sequence[float]) -> bytes:
+    """The packed ``parents`` and ``deltas`` columns of the key."""
+    return _int_column(b"p", parents) + b"d" + _packed("d", deltas)
+
+
+def _digest(
+    n: int,
+    topology: bytes,
+    requests: Sequence[int],
+    capacity: int,
+    dmax: Optional[float],
+    policy: object,
+    failed: AbstractSet[int],
+) -> str:
     dmax_value = 0.0 if dmax is None else float(dmax) + 0.0
     h = blake2b(digest_size=32)
-    h.update(struct.pack("<qq?d", len(parents), len(failed), dmax is None, dmax_value))
+    h.update(struct.pack("<qq?d", n, len(failed), dmax is None, dmax_value))
     h.update(_int_column(b"w", [int(capacity)]))
-    h.update(_int_column(b"p", parents))
-    h.update(b"d" + _packed("d", deltas))
+    h.update(topology)
     h.update(_int_column(b"r", requests))
     h.update(_int_column(b"f", sorted(failed)))
     h.update(str(policy).encode())
@@ -203,13 +242,22 @@ def instance_fingerprint(
     """The content key of ``instance`` with the ``failed`` hosts down.
 
     Equal instances (``==``, so ``name`` excluded) key the same; with
-    no failed host this is the key of the instance alone.  Not
-    memoized: one call costs about a millisecond at 10k nodes.
+    no failed host this is the key of the instance alone.  The packed
+    topology columns are kept on the tree's shared
+    :class:`~repro.core.tree.Topology`, so a demand copy packs only its
+    requests: at 10k nodes a key takes about 0.8 ms, against 1.9 ms for
+    the first key of a topology.
     """
     tree = instance.tree
-    return fingerprint_columns(
-        tree._parents,
-        tree._deltas,
+    shared = tree._topology
+    topology = shared.key_columns
+    if topology is None:
+        topology = shared.key_columns = _topology_columns(
+            tree._parents, tree._deltas
+        )
+    return _digest(
+        len(tree),
+        topology,
         tree._requests,
         instance.capacity,
         instance.dmax,

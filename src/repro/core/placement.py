@@ -58,6 +58,21 @@ class Placement:
         self._assignments: Dict[Tuple[int, int], int] = amap
         self._hash: int | None = None
 
+    @classmethod
+    def _trusted(
+        cls, replicas: FrozenSet[int], assignments: Dict[Tuple[int, int], int]
+    ) -> "Placement":
+        """A placement over maps a solver built from int node ids and
+        positive int amounts, taken as they are, without the per-entry
+        checks of the constructor.  The caller hands over maps it no
+        longer mutates (copies of its own state).
+        """
+        placement = cls.__new__(cls)
+        placement._replicas = replicas
+        placement._assignments = assignments
+        placement._hash = None
+        return placement
+
     # ------------------------------------------------------------------
     @property
     def replicas(self) -> FrozenSet[int]:

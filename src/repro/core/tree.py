@@ -27,19 +27,41 @@ Invariants
   :class:`~repro.core.arrays.FlatTree` layout compiled at most once
   per tree, and their results are bit-identical to walking this
   object graph directly — see ``docs/performance.md``.
+* :meth:`Tree.with_demands` is the one demand-copy primitive: the copy
+  shares the source's validated topology (and the content key's packed
+  topology columns, :class:`Topology`), checks only the changed
+  entries, and derives its flat layout from the source's when that one
+  is compiled.  A tick of the dynamic engine costs its changed clients,
+  not a rebuild of the tree.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidTreeError
 
-__all__ = ["Tree", "TreeBuilder", "NO_PARENT"]
+__all__ = ["Tree", "TreeBuilder", "Topology", "NO_PARENT"]
 
 #: Sentinel parent index of the root node.
 NO_PARENT = -1
+
+
+class Topology:
+    """Data derived once per validated topology.
+
+    One object per full :class:`Tree` construction, shared by every
+    demand copy (:meth:`Tree.with_demands`).  ``key_columns`` holds the
+    content key's packed ``parents`` and ``deltas`` columns
+    (:func:`repro.core.instance.instance_fingerprint` fills it on first
+    use), so a key of a demand copy packs only its ``requests``.
+    """
+
+    __slots__ = ("key_columns",)
+
+    def __init__(self) -> None:
+        self.key_columns: Optional[bytes] = None
 
 
 class Tree:
@@ -84,6 +106,7 @@ class Tree:
         "_depth_weighted",
         "_n",
         "_flat",
+        "_topology",
     )
 
     def __init__(
@@ -162,6 +185,7 @@ class Tree:
         # Lazily-compiled flat (CSR-style) layout; see core/arrays.py.
         # Trees are immutable, so the compiled layout never goes stale.
         self._flat = None
+        self._topology = Topology()
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -346,8 +370,69 @@ class Tree:
         return cls(parents, deltas, reqs)
 
     def with_requests(self, requests: Sequence[int]) -> "Tree":
-        """Return a copy of this tree with different client demands."""
-        return Tree(self._parents, self._deltas, requests)
+        """Return a copy of this tree with different client demands.
+
+        ``requests`` is the whole column; the entries that differ go
+        through :meth:`with_demands`.
+        """
+        n = self._n
+        if len(requests) != n:
+            raise InvalidTreeError(
+                "parents, deltas and requests must have the same length "
+                f"(got {n}, {n}, {len(requests)})"
+            )
+        old = self._requests
+        return self.with_demands(
+            {v: r for v, r in enumerate(requests) if r != old[v]}
+        )
+
+    def with_demands(self, levels: Mapping[int, int]) -> "Tree":
+        """Return a copy of this tree with the clients' demands in
+        ``levels`` (node -> requests) replaced.
+
+        The copy shares this tree's validated topology — parents,
+        distances, children, orders, depths and :class:`Topology` — so
+        only the changed entries are checked: each must name a leaf and
+        carry a non-negative integer level.  When this tree's flat
+        layout is compiled, the copy gets one derived from it
+        (:meth:`repro.core.arrays.FlatTree.with_demands`).  The copy
+        holds no reference to this tree.
+
+        Raises
+        ------
+        InvalidTreeError
+            If a node is unknown, internal with a non-zero level, or
+            given a negative level.
+        """
+        n = self._n
+        requests = list(self._requests)
+        changed: List[int] = []
+        for v, r in levels.items():
+            if not 0 <= v < n:
+                raise InvalidTreeError(f"node {v} is not in the tree")
+            r = int(r)
+            if r < 0:
+                raise InvalidTreeError(f"node {v} has negative requests {r}")
+            if self._children[v] and r != 0:
+                raise InvalidTreeError(
+                    f"internal node {v} carries {r} requests; only "
+                    "leaves (clients) may issue requests"
+                )
+            if requests[v] != r:
+                requests[v] = r
+                changed.append(v)
+        copy = Tree.__new__(Tree)
+        copy._parents = self._parents
+        copy._deltas = self._deltas
+        copy._requests = tuple(requests)
+        copy._children = self._children
+        copy._order = self._order
+        copy._depth_weighted = self._depth_weighted
+        copy._n = n
+        copy._topology = self._topology
+        flat = self._flat
+        copy._flat = flat.with_demands(changed, requests) if flat is not None else None
+        return copy
 
     def with_deltas(self, deltas: Sequence[float]) -> "Tree":
         """Return a copy of this tree with different edge distances."""

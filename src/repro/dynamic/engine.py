@@ -154,6 +154,8 @@ class DynamicPlacement:
             ):
                 self._backend = IncrementalSingleNod()
         self._placement: Optional[Placement] = None
+        # Memoized content key of (_instance, _failed); see fingerprint().
+        self._key: Optional[str] = None
         self._applies = 0
         self._repair_failures = 0
         self._fallbacks = 0
@@ -226,8 +228,15 @@ class DynamicPlacement:
 
     def fingerprint(self) -> str:
         """Content key of the current snapshot and its failed hosts
-        (:func:`~repro.core.instance.instance_fingerprint`)."""
-        return instance_fingerprint(self._instance, self._failed)
+        (:func:`~repro.core.instance.instance_fingerprint`).
+
+        Memoized until the next batch changes the snapshot, so an
+        apply's ``outcome.fingerprint`` and later calls share one key.
+        """
+        with self._mutex:
+            if self._key is None:
+                self._key = instance_fingerprint(self._instance, self._failed)
+            return self._key
 
     def stats(self) -> DynamicStats:
         """Lifetime apply/failure/fallback counters."""
@@ -278,6 +287,7 @@ class DynamicPlacement:
                 fingerprint=self.fingerprint(),
             )
         self._instance, self._failed = instance, failed
+        self._key = None
         self._applies += 1
         self._events_seen += len(events)
 

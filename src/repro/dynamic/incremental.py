@@ -4,16 +4,42 @@ Both NoD solvers in this repository are bottom-up folds: each node's
 contribution is a pure function of its own data and what its children
 hand up (DP threshold rows for ``multiple-nod-dp``, entry bundles for
 ``single-nod``).  That makes them incrementally recomputable: cache the
-per-node fold results, diff the next instance's columns against the
-last fold's (:func:`_dirty_positions`), and re-fold only the nodes
-whose demand or failed flag changed plus their root paths, while every
-untouched sibling subtree is reused verbatim.
+per-node fold results, find the positions whose demand or failed flag
+changed since the last fold (:func:`_changes`), and re-fold only those
+positions and their root paths, while every untouched sibling subtree
+is reused verbatim.
 
 Because a cache hit returns the byte-identical intermediate state a
 cold run would compute, the incremental result **equals a from-scratch
 solve exactly** — same cost, same placement — not just approximately.
 That invariant is property-tested over randomized event traces in
 ``tests/test_dynamic.py``.
+
+What a sparse tick costs
+------------------------
+A tick of the dynamic engine folds its events into a demand copy of
+the tree whose flat layout is *derived* from the previous one
+(:mod:`repro.core.arrays`): it already lists its changed positions and
+their root paths.  When that layout's source is the one a backend last
+folded, those are the re-fold set, with no column diff; otherwise
+(after a failed solve, a cold backend such as ``resolve_full``'s, or a
+snapshot restore) the demand column is diffed against the last fold's.
+Around the re-fold, each backend keeps its placement state per node
+and updates only the dirty part:
+
+* :class:`IncrementalSingleNod` keeps the placement's site multiset and
+  ``(client, site) -> amount`` map, retracts a dirty node's old
+  contribution before its re-fold and adds the new one after;
+* :class:`IncrementalNodDP` keeps a
+  :class:`~repro.algorithms.multiple_nod_dp.Reconstruction` — per
+  position the forwarded amount, the replica decision and the routing —
+  and re-walks and re-routes only what the dirty root paths and the
+  flipped replica flags reach.
+
+Each emits a fresh :class:`~repro.core.placement.Placement` over copies
+of its maps.  A tick whose root paths cover more than
+:data:`~repro.core.arrays.DENSE_FRACTION` of the nodes rebuilds that
+state whole instead — the cold code path with every position dirty.
 
 Two backends:
 
@@ -38,8 +64,8 @@ from itertools import compress
 from operator import ne
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..algorithms.multiple_nod_dp import NodeFold, fold, place
-from ..core.arrays import FlatTree, flat_tree
+from ..algorithms.multiple_nod_dp import NodeFold, Reconstruction, fold, place
+from ..core.arrays import DENSE_FRACTION, FlatTree, flat_tree
 from ..core.errors import InfeasibleInstanceError, PolicyError, ReproError
 from ..core.instance import ProblemInstance
 from ..core.kernels import prefix_fit, stable_argsort
@@ -88,42 +114,45 @@ def _check_nod(instance: ProblemInstance, who: str) -> None:
 _FoldInputs = Tuple[FlatTree, int, FrozenSet[int]]
 
 
-def _dirty_positions(
+def _changes(
     last: Optional[_FoldInputs], ft: FlatTree, W: int, failed: FrozenSet[int]
-) -> List[int]:
-    """Post positions to re-fold, ascending (children before parents).
+) -> Tuple[Optional[List[int]], List[int]]:
+    """What to re-fold: ``(changed, dirty)``.
 
-    The positions whose demand or failed flag differs from the last
-    fold's, closed under ancestors: a node's fold depends only on its
-    subtree and ``W``.  Everything when there is no last fold, or when
-    ``W``, the parents, the post order or the deltas changed.
+    ``changed`` lists the post positions whose demand or failed flag
+    differs from the last fold's, and ``dirty`` their root paths,
+    ascending (children before parents): a node's fold depends only on
+    its subtree and ``W``.  ``changed`` is ``None`` and ``dirty`` every
+    position when there is no last fold, or when ``W``, the parents,
+    the post order or the deltas changed.  A layout derived from the
+    last fold's carries both lists already; any other layout is diffed
+    column by column.  ``dirty`` may be the layout's own list: read it,
+    never mutate it.
     """
     n = ft.n
     if last is None:
-        return list(range(n))
+        return None, list(range(n))
     last_ft, last_W, last_failed = last
-    if W != last_W or (
-        ft is not last_ft
-        and (
-            ft.post_to_orig != last_ft.post_to_orig
-            or ft.parent != last_ft.parent
-            or ft.delta != last_ft.delta
-        )
-    ):
-        return list(range(n))
-    changed = list(compress(range(n), map(ne, ft.demand, last_ft.demand)))
+    if W != last_W:
+        return None, list(range(n))
     orig_to_post = ft.orig_to_post
-    changed.extend(orig_to_post[v] for v in failed ^ last_failed if 0 <= v < n)
-    parent = ft.parent
-    seen = bytearray(n)
-    dirty: List[int] = []
-    for p in changed:
-        while p >= 0 and not seen[p]:
-            seen[p] = 1
-            dirty.append(p)
-            p = parent[p]
-    dirty.sort()
-    return dirty
+    flags = [orig_to_post[v] for v in failed ^ last_failed if 0 <= v < n]
+    if ft is last_ft:
+        changed: List[int] = []
+    elif ft.source == last_ft.serial:
+        if not flags:
+            return ft.changed, ft.dirty
+        changed = list(ft.changed)
+    elif (
+        ft.post_to_orig != last_ft.post_to_orig
+        or ft.parent != last_ft.parent
+        or ft.delta != last_ft.delta
+    ):
+        return None, list(range(n))
+    else:
+        changed = list(compress(range(n), map(ne, ft.demand, last_ft.demand)))
+    changed.extend(flags)
+    return changed, ft.root_paths(changed)
 
 
 class IncrementalNodDP:
@@ -133,9 +162,12 @@ class IncrementalNodDP:
     the pool rows reconstruction reads — from
     :func:`repro.algorithms.multiple_nod_dp.fold`; the placement comes
     from the same :func:`~repro.algorithms.multiple_nod_dp.place` as a
-    cold solve.  ``solve`` may be called repeatedly with mutated
-    instances: it re-folds only the nodes whose demand or failed flag
-    changed since the last solve, and their root paths.
+    cold solve, fed the last placement's
+    :class:`~repro.algorithms.multiple_nod_dp.Reconstruction`.
+    ``solve`` may be called repeatedly with mutated instances: it
+    re-folds only the nodes whose demand or failed flag changed since
+    the last solve, and their root paths, and re-walks and re-routes
+    only what those changes reach.
     """
 
     name = "multiple-nod-dp"
@@ -145,6 +177,8 @@ class IncrementalNodDP:
         # One fold per post position, valid for ``_last``'s inputs.
         self._folds: List[Optional[NodeFold]] = []
         self._last: Optional[_FoldInputs] = None
+        # The last placement's walk and routing, valid for those folds.
+        self._memo: Optional[Reconstruction] = None
 
     # ------------------------------------------------------------------
     def solve(
@@ -182,16 +216,21 @@ class IncrementalNodDP:
         W = instance.capacity
         ft = flat_tree(instance.tree)
         n = ft.n
-        dirty = _dirty_positions(self._last, ft, W, failed)
-        # Cleared while the memo is being rewritten, so an exception
-        # mid-fold makes the next solve re-fold everything.
+        _changed, dirty = _changes(self._last, ft, W, failed)
+        # Cleared while the memos are being rewritten, so an exception
+        # mid-fold or mid-place makes the next solve rebuild them.
         self._last = None
+        memo, self._memo = self._memo, None
         if len(self._folds) != n:
             self._folds = [None] * n
         fold(ft, W, self._folds, dirty, failed)
         self._last = (ft, W, failed)
 
-        placement = place(instance, ft, self._folds, failed)
+        walk: Optional[List[int]] = dirty
+        if memo is None or len(dirty) > DENSE_FRACTION * n:
+            memo, walk = Reconstruction(n), None
+        placement = place(instance, ft, self._folds, failed, memo, walk)
+        self._memo = memo
         return placement, IncrementalStats(n, n - len(dirty), len(dirty))
 
 
@@ -229,6 +268,10 @@ class IncrementalSingleNod:
         # ``_last``'s inputs.
         self._memo: List[Optional[Tuple[_Export, _Contribution]]] = []
         self._last: Optional[_FoldInputs] = None
+        # The placement of those contributions: replica site -> number
+        # of contributions opening it, (client, site) -> amount.
+        self._sites: Dict[int, int] = {}
+        self._amounts: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     def solve(
@@ -272,36 +315,49 @@ class IncrementalSingleNod:
             )
         tree = instance.tree
         W = instance.capacity
-        if tree.max_request > W:
+        ft = flat_tree(tree)
+        n = ft.n
+        changed, dirty = _changes(self._last, ft, W, failed)
+        # The last fold passed this check at the same W, so on a tick
+        # only the changed clients can fail it.
+        demand = ft.demand
+        if (
+            tree.max_request
+            if changed is None
+            else max([demand[p] for p in changed], default=0)
+        ) > W:
             raise InfeasibleInstanceError(
                 f"a client demands {tree.max_request} > W={W}; "
                 "no Single placement exists"
             )
-
-        ft = flat_tree(tree)
-        n = ft.n
-        dirty = _dirty_positions(self._last, ft, W, failed)
-        # The memo is rewritten in place: clear the record first, so an
-        # exception mid-fold makes the next solve re-fold everything.
+        # The memo and the placement maps are rewritten in place: clear
+        # the record first, so an exception mid-fold makes the next
+        # solve rebuild everything.
+        whole = self._last is None or len(dirty) > DENSE_FRACTION * n
         self._last = None
         if len(self._memo) != n:
             self._memo = [None] * n
         memo = self._memo
-        for p in dirty:
-            memo[ft.post_to_orig[p]] = self._process(ft, W, p)
+        post_to_orig = ft.post_to_orig
+        process = self._process
+        if whole:
+            for p in dirty:
+                memo[post_to_orig[p]] = process(ft, W, p)
+            self._sites, self._amounts = {}, {}
+            for entry in memo:
+                _add(self._sites, self._amounts, entry[1])
+        else:
+            sites, amounts = self._sites, self._amounts
+            for p in dirty:
+                j = post_to_orig[p]
+                _retract(sites, amounts, memo[j][1])
+                memo[j] = entry = process(ft, W, p)
+                _add(sites, amounts, entry[1])
         self._last = (ft, W, failed)
 
-        replicas: List[int] = []
-        assignments: Dict[Tuple[int, int], int] = {}
-        for j in tree.topological_order():
-            for site, bundle in memo[j][1]:
-                replicas.append(site)
-                for client, amount in bundle:
-                    assignments[(client, site)] = (
-                        assignments.get((client, site), 0) + amount
-                    )
         stats = IncrementalStats(n, n - len(dirty), len(dirty))
-        return Placement(replicas, assignments), stats
+        placement = Placement._trusted(frozenset(self._sites), dict(self._amounts))
+        return placement, stats
 
     # ------------------------------------------------------------------
     def _process(self, ft, W: int, p: int) -> Tuple[_Export, _Contribution]:
@@ -381,6 +437,40 @@ class IncrementalSingleNod:
         if is_root:
             return None, ((j, merged[2]),)
         return ("agg", (merged,)), ()
+
+
+def _add(
+    sites: Dict[int, int],
+    amounts: Dict[Tuple[int, int], int],
+    contribution: _Contribution,
+) -> None:
+    """Add a node's replicas to the placement maps."""
+    for site, bundle in contribution:
+        sites[site] = sites.get(site, 0) + 1
+        for client, amount in bundle:
+            key = (client, site)
+            amounts[key] = amounts.get(key, 0) + amount
+
+
+def _retract(
+    sites: Dict[int, int],
+    amounts: Dict[Tuple[int, int], int],
+    contribution: _Contribution,
+) -> None:
+    """Take a node's replicas back out of the placement maps."""
+    for site, bundle in contribution:
+        left = sites[site] - 1
+        if left:
+            sites[site] = left
+        else:
+            del sites[site]
+        for client, amount in bundle:
+            key = (client, site)
+            left = amounts[key] - amount
+            if left:
+                amounts[key] = left
+            else:
+                del amounts[key]
 
 
 def _merge_bundles(

@@ -100,6 +100,13 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[idx]
 
 
+def _instance_key(engine: "DynamicPlacement") -> str:
+    """Content key of a session's instance alone (no failed hosts)."""
+    if engine.failed_hosts:
+        return instance_fingerprint(engine.instance)
+    return engine.fingerprint()
+
+
 @dataclass(frozen=True)
 class ServiceStats:
     """Point-in-time service counters for health checks and reports."""
@@ -535,10 +542,16 @@ class PlacementService:
     def _apply_events_core(
         self, engine: "DynamicPlacement", events: Sequence["ChangeEvent"]
     ) -> "RepairOutcome":
-        """Fold events into ``engine`` + cache upkeep (shared with replay)."""
-        old_fp = instance_fingerprint(engine.instance)
+        """Fold events into ``engine`` + cache upkeep (shared with replay).
+
+        With no failed host, the engine's memoized key is the instance's
+        content key: the pre-apply key is then the one the previous
+        apply computed for ``outcome.fingerprint``, and the post-apply
+        key is this apply's — one key per apply.
+        """
+        old_fp = _instance_key(engine)
         outcome = engine.apply(events)
-        new_fp = instance_fingerprint(engine.instance)
+        new_fp = _instance_key(engine)
         if new_fp != old_fp:
             self._invalidate_instance(old_fp)
         if (

@@ -6,6 +6,11 @@ HTTP decision they share is made here, once:
 
 * HTTP/1.1 keep-alive, with one access-log line per request on stderr
   only when the server is ``verbose``;
+* ``TCP_NODELAY`` on every accepted connection, and every response
+  (status line, headers and body) sent in one write.  A header write
+  followed by a small body write would otherwise wait out the client's
+  delayed ACK under Nagle's algorithm: about 40 ms per request on a
+  kept-alive connection;
 * JSON responses: ``Content-Type`` and ``Content-Length`` headers, then
   the body, with ``Connection: close`` whenever the server will drop
   the connection after answering;
@@ -76,6 +81,8 @@ class JSONHandler(BaseHTTPRequestHandler):
     server: JSONServer  # narrowed for type checkers
 
     protocol_version = "HTTP/1.1"
+    #: ``StreamRequestHandler.setup`` sets ``TCP_NODELAY`` on the socket.
+    disable_nagle_algorithm = True
     GET_ROUTES: Dict[str, Callable[..., None]] = {}
     POST_ROUTES: Dict[str, Callable[..., None]] = {}
 
@@ -103,8 +110,15 @@ class JSONHandler(BaseHTTPRequestHandler):
             # Tell well-behaved clients the connection is done so they
             # reconnect instead of reusing a socket we will close.
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # ``end_headers`` would flush the headers in a write of their
+        # own; send them with the body instead, joined once.  (An
+        # HTTP/0.9 answer has no status line or headers, so no buffer.)
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = []
+        else:
+            self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
 
     def _send_error_json(self, status: int, code: str, message: str) -> None:
         self._send_bytes(status, error_body(code, message))

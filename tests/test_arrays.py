@@ -99,6 +99,41 @@ def test_flat_tree_subtree_spans(inst):
         )
 
 
+@settings(**COMMON)
+@given(tree_instances(), st.data())
+def test_derived_layout_equals_a_compile(inst, data):
+    """A demand copy's derived layout matches compiling the copy, on
+    both sides of the whole-array switch."""
+    from repro.core.arrays import FlatTree
+
+    tree = inst.tree
+    source = flat_tree(tree)
+    clients = list(tree.clients)
+    picked = data.draw(st.lists(st.sampled_from(clients), unique=True))
+    levels = {c: data.draw(st.integers(0, 9)) for c in picked}
+    copy = tree.with_demands(levels)
+    derived = flat_tree(copy)
+    compiled = FlatTree(copy)
+    for name in (
+        "post_to_orig", "parent", "first_child", "next_sibling", "delta",
+        "demand", "depth", "subtree_begin", "subtree_demand",
+    ):
+        assert getattr(derived, name) == getattr(compiled, name), name
+    assert derived.source == source.serial
+    changed = {source.orig_to_post[c] for c in picked
+               if levels[c] != tree.requests(c)}
+    assert set(derived.changed) == changed
+    closure = set()
+    for p in changed:
+        while p >= 0:
+            closure.add(p)
+            p = source.parent[p]
+    assert derived.dirty == sorted(closure)
+    # The source layout is untouched.
+    assert source.demand == FlatTree(tree).demand
+    assert source.subtree_demand == FlatTree(tree).subtree_demand
+
+
 def test_flat_tree_is_cached_per_tree():
     b = TreeBuilder()
     r = b.add_root()

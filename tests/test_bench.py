@@ -37,6 +37,13 @@ class TestCorpus:
         corpus = {name: inst for name, inst, _ in bench_corpus("quick")}
         assert len(corpus["nod220-multi"].tree) == 220
 
+    def test_quick_profile_times_the_mesh_ticks(self):
+        corpus = {name: (inst, solvers) for name, inst, solvers
+                  in bench_corpus("quick")}
+        for name in ("mesh-single", "mesh-multi"):
+            inst, solvers = corpus[name]
+            assert len(inst.tree) == 9544 and solvers == ["dynamic-apply"]
+
     def test_full_profile_extends_quick(self):
         quick = {name for name, _i, _s in bench_corpus("quick")}
         full = {name for name, _i, _s in bench_corpus("full")}
@@ -173,14 +180,29 @@ class TestCompare:
         assert "batch" not in render_bench_table(loaded)
 
     def test_sub_millisecond_jitter_never_flags(self, smoke_snapshot):
+        # The floor applies to a timing sample: one 0.5 ms call.
         slow = json.loads(json.dumps(smoke_snapshot))
         for e in slow["entries"]:
             e["wall_s"] = 0.0005  # 0.5ms: below the jitter floor
+            e["calls"] = 1
         base = json.loads(json.dumps(smoke_snapshot))
         for e in base["entries"]:
             e["wall_s"] = 0.00001
         _lines, regressions = compare_snapshots(slow, base, 25.0)
         assert not regressions
+
+    def test_a_sample_of_fast_calls_is_gated(self, smoke_snapshot):
+        # Forty 0.5 ms calls make a 20 ms sample: above the floor, so
+        # a sub-millisecond entry is gated on its mean.
+        slow = json.loads(json.dumps(smoke_snapshot))
+        for e in slow["entries"]:
+            e["wall_s"] = 0.0005
+            e["calls"] = 40
+        base = json.loads(json.dumps(smoke_snapshot))
+        for e in base["entries"]:
+            e["wall_s"] = 0.00001
+        _lines, regressions = compare_snapshots(slow, base, 25.0)
+        assert len(regressions) == len(slow["entries"])
 
 
 class TestCli:

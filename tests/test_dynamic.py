@@ -354,3 +354,159 @@ class TestAcceptance:
         # near-linear greedy is reported but not asserted hard.
         if policy is Policy.MULTIPLE:
             assert resolve_s > repair_s, (repair_s, resolve_s)
+
+
+# ----------------------------------------------------------------------
+# Mesh scale: sparse and dense ticks across the whole-array switch
+# ----------------------------------------------------------------------
+class TestMeshScaleParity:
+    """Incremental == cold on a few-hundred-node ISP mesh.
+
+    Sparse ticks (1-8 demand events) alternate with dense
+    ``diurnal+flash`` rows, so every tick crosses the derived layouts'
+    and the backends' whole-array switch one way or the other.  Besides
+    the placement, each tick's ``nodes_recomputed`` is checked against
+    the ancestor closure of what changed since the last fold.
+    """
+
+    @staticmethod
+    def _closure(tree, nodes):
+        out = set()
+        for v in nodes:
+            out.update(tree.path_to_root(v))
+        return len(out)
+
+    def _run(self, policy, extra):
+        import numpy as np
+
+        from repro.core.arrays import DENSE_FRACTION
+        from repro.instances import isp_mesh
+        from repro.replay import make_trace
+
+        inst = isp_mesh(200, capacity=300, seed=5, policy=policy)
+        tree = inst.tree
+        n = len(tree)
+        assert 250 <= n <= 400
+        clients = list(tree.clients)
+        base = np.array([tree.requests(c) for c in clients])
+        dense = make_trace(
+            "diurnal+flash", n_clients=len(clients), horizon=6, seed=2
+        ).levels(base, capacity=inst.capacity)
+        rng = np.random.default_rng(9)
+        batches = []
+        for row in dense:
+            k = int(rng.integers(1, 9))
+            picked = rng.choice(len(clients), size=k, replace=False)
+            batches.append([
+                DemandEvent(clients[i], int(rng.integers(20, 121)))
+                for i in picked
+            ])
+            batches.append([
+                DemandEvent(c, int(level)) for c, level in zip(clients, row)
+            ])
+        batches[3:3] = extra(inst)
+
+        engine = DynamicPlacement(inst)
+        # What the backend last folded: levels, failed hosts and W.
+        folded = {c: tree.requests(c) for c in clients}
+        folded_failed = frozenset()
+        folded_W = inst.capacity
+        fractions = []
+        emitted = []
+        for batch in batches:
+            outcome = engine.apply(batch)
+            now = engine.instance
+            levels = {c: now.tree.requests(c) for c in clients}
+            failed = engine.failed_hosts
+            if now.capacity != folded_W:
+                expected = n
+            else:
+                changed = [c for c in clients if levels[c] != folded[c]]
+                expected = self._closure(
+                    tree, changed + sorted(failed ^ folded_failed)
+                )
+            single_infeasible = (
+                policy is Policy.SINGLE and now.tree.max_request > now.capacity
+            )
+            if not single_infeasible:
+                folded, folded_failed, folded_W = levels, failed, now.capacity
+            if not outcome.ok:
+                assert engine.placement is None
+                assert engine.resolve_full()[0] is None
+                continue
+            assert outcome.mode == MODE_INCREMENTAL
+            assert outcome.stats.nodes_recomputed == expected
+            assert outcome.stats.nodes_reused == n - expected
+            fractions.append(expected / n)
+            placement = outcome.placement
+            emitted.append((placement, placement.replicas, placement.assignments))
+            if policy is Policy.SINGLE:
+                assert outcome.placement == single_nod(now)
+            elif not failed:
+                assert outcome.placement == multiple_nod_dp(now)
+            else:
+                assert placement_violations(now, outcome.placement) == []
+                assert not (outcome.placement.replicas & failed)
+                assert outcome.cost == engine.resolve_full()[0].n_replicas
+        # Both sides of the switch were exercised, several times.
+        assert sum(f > DENSE_FRACTION for f in fractions) >= 4
+        assert sum(f < DENSE_FRACTION for f in fractions) >= 4
+        # A placement handed out is never changed by a later tick (the
+        # service caches them).
+        for placement, replicas, assignments in emitted:
+            assert placement.replicas == replicas
+            assert placement.assignments == assignments
+
+    def test_single_policy(self):
+        def extra(inst):
+            client = inst.tree.clients[7]
+            return [
+                [CapacityEvent(inst.capacity + 40)],
+                # Demand above W: infeasible under Single, then back.
+                [DemandEvent(client, inst.capacity + 50)],
+                [DemandEvent(client, 30)],
+            ]
+
+        self._run(Policy.SINGLE, extra)
+
+    def test_multiple_policy(self):
+        def extra(inst):
+            tree = inst.tree
+            client = tree.clients[7]
+            victim = tree.internal_nodes[len(tree.internal_nodes) // 2]
+            # More than every server on the client's root path can hold.
+            too_much = inst.capacity * len(tree.path_to_root(client)) + 1
+            return [
+                [CapacityEvent(inst.capacity + 40)],
+                [FailureEvent(victim)],
+                [DemandEvent(client, 10 * too_much)],
+                [DemandEvent(client, 30)],
+            ]
+
+        self._run(Policy.MULTIPLE, extra)
+
+    def test_capacity_event_with_non_integral_w_rejects_the_batch(self):
+        inst = random_tree(6, 12, capacity=8, dmax=None, seed=1)
+        engine = DynamicPlacement(inst)
+        client = inst.tree.clients[0]
+        outcome = engine.apply([DemandEvent(client, 3), CapacityEvent(2.5)])
+        assert not outcome.ok and "rejected batch" in outcome.error
+        assert engine.instance is inst
+        assert engine.stats().applies == 0
+
+    def test_derived_tree_and_layout_keep_no_predecessor_alive(self):
+        import gc
+
+        from repro.core.arrays import flat_tree
+        from repro.instances import isp_mesh
+
+        tree = isp_mesh(60, capacity=300, seed=5).tree
+        layout = flat_tree(tree)
+        client = tree.clients[3]
+        copy = tree.with_demands({client: tree.requests(client) + 1})
+        derived = copy._flat
+        assert derived is not None and derived.source == layout.serial
+        assert flat_tree(copy) is derived
+        for obj in (copy, derived):
+            referents = gc.get_referents(obj)
+            assert not any(r is tree or r is layout for r in referents)

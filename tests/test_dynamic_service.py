@@ -145,6 +145,34 @@ class TestCacheInvalidation:
             kept = svc.solve_instance(other, "multiple-nod-dp")
             assert kept.diagnostics.cache_hit
 
+    def test_one_content_key_per_apply(self, multiple_instance, monkeypatch):
+        # The pre-apply key is the previous apply's post-apply key, and
+        # with no failed host the post-apply key is the engine's own
+        # outcome.fingerprint: one instance_fingerprint per apply.
+        import repro.dynamic.engine as engine_module
+        import repro.service.facade as facade_module
+
+        calls = []
+        real = engine_module.instance_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "instance_fingerprint", counting)
+        monkeypatch.setattr(facade_module, "instance_fingerprint", counting)
+        client = sorted(multiple_instance.tree.clients)[0]
+        with PlacementService() as svc:
+            sid = svc.start_dynamic(multiple_instance)
+            # The session's first apply also keys its starting instance.
+            svc.apply_events(sid, [_bump_leaf_event(multiple_instance)])
+            for level in (1, 2, 3, 2):
+                del calls[:]
+                outcome = svc.apply_events(sid, [DemandEvent(client, level)])
+                assert outcome.ok and len(calls) == 1
+            mutated = svc.dynamic_session(sid).instance
+            assert svc.solve_instance(mutated, "multiple-nod-dp").diagnostics.cache_hit
+
     def test_capacity_event_invalidates_too(self, multiple_instance):
         with PlacementService() as svc:
             svc.solve_instance(multiple_instance, "multiple-nod-dp")

@@ -10,11 +10,14 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 
 import pytest
 
 from repro.cluster import make_router
+from repro.core.policies import Policy
 from repro.instances import random_tree
 from repro.service import SolveRequest, make_server
 
@@ -132,3 +135,33 @@ def test_malformed_request_line_is_json_400(address):
     error = json.loads(body)["error"]
     assert error["code"] == "bad_request"
     assert "Bad request syntax" in error["message"]
+
+
+def test_keep_alive_cached_solve_is_not_stalled(address):
+    # A response sent as a header write and a body write, without
+    # TCP_NODELAY, waits for the client's delayed ACK (~40 ms) on a
+    # kept-alive connection.  Twenty cache hits of the 220-node
+    # flagship on one connection must each come back in milliseconds.
+    flagship = random_tree(
+        110, 110, capacity=30, dmax=None, policy=Policy.MULTIPLE,
+        max_arity=3, seed=3,
+    )
+    body = json.dumps(SolveRequest(instance=flagship).to_wire()).encode()
+    conn = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        elapsed = []
+        for _ in range(21):
+            t0 = time.perf_counter()
+            conn.request(
+                "POST", "/v1/solve", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+            elapsed.append(time.perf_counter() - t0)
+            assert resp.status == 200
+        assert payload["diagnostics"]["cache_hit"]
+    finally:
+        conn.close()
+    # The first request is the miss that fills the cache.
+    assert statistics.median(elapsed[1:]) < 0.010

@@ -25,6 +25,22 @@ class TestValidation:
         with pytest.raises(InvalidInstanceError):
             ProblemInstance(tiny_tree(), 0)
 
+    @pytest.mark.parametrize("capacity", [2.5, float("inf"), float("nan")])
+    def test_non_integral_capacity_rejected(self, capacity):
+        # The content key packs W as an int: W=2.5 would share W=2's
+        # cached answers although the two instances differ.
+        with pytest.raises(InvalidInstanceError):
+            ProblemInstance(tiny_tree(), capacity)
+
+    def test_integral_float_capacity_keys_like_the_int(self):
+        from repro.core.instance import instance_fingerprint
+
+        tree = tiny_tree()
+        as_float = ProblemInstance(tree, 5.0)
+        as_int = ProblemInstance(tree, 5)
+        assert as_float == as_int
+        assert instance_fingerprint(as_float) == instance_fingerprint(as_int)
+
     def test_negative_dmax_rejected(self):
         with pytest.raises(InvalidInstanceError):
             ProblemInstance(tiny_tree(), 5, -1.0)

@@ -253,6 +253,42 @@ class TestCopiesAndEquality:
         assert t2.total_requests == 4
         assert t.total_requests == 14  # original untouched
 
+    def test_with_requests_validates_like_the_constructor(self, paper_example):
+        t = paper_example.tree
+        with pytest.raises(InvalidTreeError):
+            t.with_requests([0] * (len(t) - 1))
+        internal = t.internal_nodes[0]
+        bad = [t.requests(v) for v in range(len(t))]
+        bad[internal] = 2
+        with pytest.raises(InvalidTreeError):
+            t.with_requests(bad)
+
+    def test_with_demands_shares_the_topology(self, paper_example):
+        t = paper_example.tree
+        leaf = t.clients[0]
+        t2 = t.with_demands({leaf: t.requests(leaf) + 5})
+        requests = [t.requests(v) for v in range(len(t))]
+        requests[leaf] += 5
+        assert t2 == Tree(
+            [t.parent(v) for v in range(len(t))],
+            [t.delta(v) for v in range(len(t))],
+            requests,
+        )
+        assert t2._parents is t._parents and t2._children is t._children
+        assert t2._topology is t._topology
+        assert t.requests(leaf) == requests[leaf] - 5  # original untouched
+
+    def test_with_demands_checks_the_changed_entries(self, paper_example):
+        t = paper_example.tree
+        leaf = t.clients[0]
+        for levels in (
+            {t.internal_nodes[0]: 1},
+            {leaf: -1},
+            {len(t): 1},
+        ):
+            with pytest.raises(InvalidTreeError):
+                t.with_demands(levels)
+
     def test_with_deltas(self, paper_example):
         t = paper_example.tree
         t2 = t.with_deltas([math.inf] + [5.0] * 6)
