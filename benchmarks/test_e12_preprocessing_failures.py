@@ -15,8 +15,8 @@ from __future__ import annotations
 from repro import Policy, is_valid, single_gen
 from repro.analysis import ExperimentTable
 from repro.core import preprocess
+from repro.dynamic import failure_study
 from repro.instances import cdn_hierarchy, random_tree
-from repro.simulate import failure_study
 
 from conftest import emit
 

@@ -15,8 +15,8 @@ Run: ``python examples/failure_drill.py``
 """
 
 from repro import ProblemInstance, check_placement, single_gen
+from repro.dynamic import failure_study, repair_placement
 from repro.instances import cdn_hierarchy
-from repro.simulate import failure_study, repair_placement
 
 
 def drill(inst, placement, label):

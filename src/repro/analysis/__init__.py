@@ -19,7 +19,6 @@ from .experiments import (
     render_sweep_table,
     summarize_sweep,
 )
-from .online import online_report, render_online_table
 from .replay import render_replay_table, replay_report
 from .ratios import RatioReport, RatioSample, measure_ratios, policy_gap
 from .report import (
@@ -67,8 +66,6 @@ __all__ = [
     "cluster_report",
     "render_worker_health",
     "service_report",
-    "online_report",
-    "render_online_table",
     "replay_report",
     "render_replay_table",
     "full_report",

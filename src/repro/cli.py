@@ -23,8 +23,9 @@ solvers in parallel and persists JSON-lines results; ``compare``
 renders a solver-vs-solver table either live on one instance or from a
 persisted sweep store.  ``serve`` runs the placement daemon (JSON over
 HTTP, see :mod:`repro.service.daemon`).  ``simulate --online`` replays
-a randomized change-event trace against the online re-placement engine
-(:mod:`repro.dynamic`) and prints the repair-vs-resolve report.
+a randomized change-event trace through the re-placement engine with
+the replay runner (:mod:`repro.replay`) and prints its report, cold
+re-solve parity audits included.
 ``stress`` runs the differential conformance harness — every
 registered solver over the adversarial scenario grid, gated on
 solver-independent invariants (:mod:`repro.scenarios`).  ``serve
@@ -350,40 +351,71 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_replay(args: argparse.Namespace) -> int:
     """``repro simulate --replay``: demand trace vs the dynamic engine."""
-    from .analysis import render_replay_table, replay_report
-    from .core.errors import ReproError
-    from .replay import run_replay
-
-    inst = _load_instance(args.instance)
-    if args.placement is not None:
-        print(
-            "simulate --replay solves its own placements; "
-            "drop the placement argument",
-            file=sys.stderr,
-        )
-        return 2
-    solver = None if args.solver in (None, "auto") else args.solver
+    inst = _load_replay_instance(args, "--replay")
     horizon = args.horizon
     sample = args.sample
-    check_every = args.check_every
+    check_every = 8 if args.check_every is None else args.check_every
     if args.quick:
         horizon = min(horizon, 12)
         sample = min(sample, 128)
         check_every = min(check_every or 4, 4)
+    return _run_replay_cli(
+        args, "--replay", inst, args.trace,
+        horizon=horizon,
+        tenants=args.tenants,
+        rate_scale=args.rate_scale,
+        check_every=check_every,
+        sample=sample,
+    )
+
+
+def _cmd_simulate_online(args: argparse.Namespace) -> int:
+    """``repro simulate --online``: a random event trace vs the engine."""
+    from .dynamic import random_event_trace
+
+    inst = _load_replay_instance(args, "--online")
     try:
-        result = run_replay(
+        trace = random_event_trace(
             inst,
-            args.trace,
-            horizon=horizon,
+            steps=args.steps,
+            events_per_step=args.events_per_step,
             seed=args.seed,
-            tenants=args.tenants,
-            solver=solver,
-            rate_scale=args.rate_scale,
-            check_every=check_every,
-            sample=sample,
+            p_fail=args.p_fail,
+            p_capacity=args.p_capacity,
         )
     except ValueError as exc:
-        raise _CliError(f"simulate --replay: {exc}") from None
+        raise _CliError(f"simulate --online: {exc}") from None
+    # Audit every step unless told otherwise: the cold re-solve of each
+    # incremental step is the parity check.
+    return _run_replay_cli(
+        args, "--online", inst, trace,
+        check_every=1 if args.check_every is None else args.check_every,
+        sample=args.sample,
+    )
+
+
+def _load_replay_instance(args: argparse.Namespace, flag: str):
+    inst = _load_instance(args.instance)
+    if args.placement is not None:
+        raise _CliError(
+            f"simulate {flag} solves its own placements; "
+            "drop the placement argument"
+        )
+    return inst
+
+
+def _run_replay_cli(
+    args: argparse.Namespace, flag: str, inst, trace, **kwargs
+) -> int:
+    """Replay ``trace``, print table and summary, exit 1 on any violation."""
+    from .analysis import render_replay_table, replay_report
+    from .replay import run_replay
+
+    solver = None if args.solver in (None, "auto") else args.solver
+    try:
+        result = run_replay(inst, trace, seed=args.seed, solver=solver, **kwargs)
+    except ValueError as exc:
+        raise _CliError(f"simulate {flag}: {exc}") from None
     except ReproError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
@@ -404,11 +436,14 @@ def _cmd_simulate_replay(args: argparse.Namespace) -> int:
         head += f", latency mean {lat:.3f}"
     print(head, file=sys.stderr)
     hit_rate = s["cache_hit_rate"]
+    speedup = s["speedup"]["mean"]
     print(
         f"repair rate {s['repair_rate']:.2f}; "
         f"repair failures {s['repair_failures']}; "
         + (f"cache hit rate {hit_rate:.2f}; " if hit_rate is not None else "")
-        + f"invariants: {s['invariant_checks']} checks, "
+        + f"parity audits {s['parity_checks']}"
+        + (f" (resolve/repair {speedup:.2f}x)" if speedup is not None else "")
+        + f"; invariants: {s['invariant_checks']} checks, "
         f"{s['invariant_violations']} violations; "
         f"fingerprint {report['run']['fingerprint']}",
         file=sys.stderr,
@@ -422,42 +457,6 @@ def _cmd_simulate_replay(args: argparse.Namespace) -> int:
             print(f"VIOLATION {v}", file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_simulate_online(args: argparse.Namespace) -> int:
-    """``repro simulate --online``: event trace vs re-placement engine."""
-    from .analysis import online_report
-    from .simulate import run_online
-
-    inst = _load_instance(args.instance)
-    if args.placement is not None:
-        print(
-            "simulate --online solves its own placements; "
-            "drop the placement argument",
-            file=sys.stderr,
-        )
-        return 2
-    solver = None if args.solver in (None, "auto") else args.solver
-    _engine, result = run_online(
-        inst,
-        steps=args.steps,
-        events_per_step=args.events_per_step,
-        seed=args.seed,
-        p_fail=args.p_fail,
-        p_capacity=args.p_capacity,
-        solver=solver,
-    )
-    print(online_report(result))
-    print()
-    print(result.summary(), file=sys.stderr)
-    # Exit non-zero only on a parity bug: pure-incremental repair is
-    # contractually equal to a from-scratch solve.  Repair failures
-    # (infeasible snapshots) are legitimate outcomes, not errors.
-    parity_bug = any(
-        s.mode == "incremental" and s.cost_matches is False
-        for s in result.steps
-    )
-    return 1 if parity_bug else 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -870,12 +869,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
             tmp = tempfile.TemporaryDirectory(prefix="repro-loadtest-")
             manager = ClusterManager(args.workers, tmp.name)
-            server = make_router(
-                "127.0.0.1",
-                0,
-                workers=manager.urls(),
-                data_dirs=manager.data_dirs(),
-            )
+            server = make_router("127.0.0.1", 0, workers=manager.urls())
             threading.Thread(
                 target=server.serve_forever,
                 name="repro-loadtest-router",
@@ -1029,9 +1023,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=int, default=10)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--online", action="store_true",
-                     help="replay a randomized change-event trace against "
-                     "the incremental re-placement engine and print the "
-                     "repair-vs-resolve report")
+                     help="replay a randomized change-event trace through "
+                     "the re-placement engine and print the replay report "
+                     "with the repair-vs-resolve audit")
     sim.add_argument("--steps", type=int, default=20,
                      help="online: number of event batches")
     sim.add_argument("--events-per-step", type=int, default=1,
@@ -1042,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="online: per-event probability of a capacity resize")
     sim.add_argument("--solver", choices=["auto"] + algorithm_names,
                      default="auto",
-                     help="online: engine solver (auto picks the "
+                     help="replay/online: engine solver (auto picks the "
                      "incremental backend for NoD instances)")
     sim.add_argument("--replay", action="store_true",
                      help="feed a demand trace (diurnal/flash/zipf, "
@@ -1057,17 +1051,19 @@ def build_parser() -> argparse.ArgumentParser:
                      "service")
     sim.add_argument("--rate-scale", type=_positive_float, default=1.0,
                      help="replay: global multiplier on base demand")
-    sim.add_argument("--check-every", type=_nonnegative_int, default=8,
-                     help="replay: sampled-invariant audit period in "
-                     "ticks (0 disables)")
+    sim.add_argument("--check-every", type=_nonnegative_int, default=None,
+                     help="replay/online: audit period in ticks — sampled "
+                     "invariants, and a cold re-solve of incremental "
+                     "ticks for the parity check (default 8 for "
+                     "--replay, every step for --online; 0 disables)")
     sim.add_argument("--sample", type=_positive_int, default=256,
-                     help="replay: client sample size for latency and "
-                     "invariant checks")
+                     help="replay/online: client sample size for latency "
+                     "and invariant checks")
     sim.add_argument("--quick", action="store_true",
                      help="replay: CI smoke preset (caps horizon at 12 "
                      "ticks, sample at 128)")
     sim.add_argument("--json", default=None, metavar="PATH",
-                     help="replay: also write the full JSON report")
+                     help="replay/online: also write the full JSON report")
     sim.set_defaults(func=_cmd_simulate)
 
     cmp_ = sub.add_parser(

@@ -16,7 +16,6 @@ Modules::
     router    HTTP front-end: fingerprint routing, health probes,
               failover with bounded exponential backoff
     workers   worker subprocess lifecycle (spawn / kill -9 / restart)
-    warmup    result-cache warm-up from the workers' WAL/snapshot state
     loadtest  deterministic seeded load generator + report
     daemon    the ``repro cluster`` verb entry point
 
@@ -41,7 +40,6 @@ from .router import (
     WorkerView,
     make_router,
 )
-from .warmup import collect_cache_entries, plan_warmup, warm_worker
 from .workers import ClusterManager, WorkerProcess, WorkerSpawnError
 
 __all__ = [
@@ -56,9 +54,6 @@ __all__ = [
     "WorkerProcess",
     "ClusterManager",
     "WorkerSpawnError",
-    "collect_cache_entries",
-    "plan_warmup",
-    "warm_worker",
     "MIXES",
     "LoadRequest",
     "LoadTestReport",

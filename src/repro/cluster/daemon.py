@@ -8,9 +8,8 @@ state), so the next ``repro cluster`` over the same ``--data-root``
 restarts warm.
 
 Attach mode (``worker_urls``) skips the fleet management entirely and
-routes across daemons someone else operates — then cache warm-up on
-rejoin is disabled (the router cannot read remote data directories) and
-shutdown leaves the workers running.
+routes across daemons someone else operates; shutdown then leaves the
+workers running.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ def run_cluster(
     manager: Optional[ClusterManager] = None
     if worker_urls:
         workers = dict(worker_urls)
-        data_dirs: Dict[str, str] = {}
     else:
         if data_root is None:
             raise ValueError("data_root is required when spawning workers")
@@ -59,7 +57,6 @@ def run_cluster(
             n_workers, data_root, snapshot_interval=snapshot_interval, host=host
         )
         workers = manager.urls()
-        data_dirs = manager.data_dirs()
     try:
         server = make_router(
             host,
@@ -67,7 +64,6 @@ def run_cluster(
             workers=workers,
             vnodes=vnodes,
             down_after=down_after,
-            data_dirs=data_dirs,
             probe_interval=probe_interval,
             verbose=verbose,
         )

@@ -17,9 +17,9 @@ construction:
 
 Everything is derived from the *names* of the members, so two ring
 instances built in different processes from the same membership agree
-on every routing decision — the property the router, the load
-generator and the warm-up planner all depend on (and that the
-Hypothesis suite in ``tests/test_cluster_ring.py`` pins).
+on every routing decision — the property the router and the load
+generator both depend on (and that the Hypothesis suite in
+``tests/test_cluster_ring.py`` pins).
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ health
     ``probe_interval`` seconds.  ``down_after`` consecutive failures
     (probe or forward) eject the worker from the ring — its keys remap
     minimally to the ring successors — and a succeeding probe re-adds
-    it.  On rejoin, the router warms the worker's result cache from the
-    *other* workers' durable WAL/snapshot state
-    (:mod:`repro.cluster.warmup`), so recovered workers return warm.
+    it.  A restarted worker recovers its own result cache from its
+    write-ahead log and gets its ring arcs back, so the keys it served
+    before a crash are warm again on rejoin.
 
 observability
     The router's ``GET /v1/healthz`` reports per-worker ring ownership
@@ -86,7 +86,6 @@ class WorkerView:
         self.last_probe_ok: Optional[bool] = None
         self.requests = 0
         self.retries = 0
-        self.warmed_entries = 0
 
     def to_wire(self, share: float) -> dict:
         return {
@@ -99,7 +98,6 @@ class WorkerView:
             "consecutive_failures": self.consecutive_failures,
             "requests": self.requests,
             "retries": self.retries,
-            "warmed_entries": self.warmed_entries,
         }
 
 
@@ -115,10 +113,6 @@ class ClusterState:
     down_after:
         Consecutive failures (probe or forward) before a worker is
         ejected from the ring.
-    data_dirs:
-        Optional ``node_id -> data_dir`` map for locally managed
-        workers; enables cache warm-up on rejoin.  Attached remote
-        workers (URLs only) skip warm-up.
     """
 
     def __init__(
@@ -127,7 +121,6 @@ class ClusterState:
         *,
         vnodes: int = DEFAULT_VNODES,
         down_after: int = 2,
-        data_dirs: Optional[Dict[str, str]] = None,
     ) -> None:
         if not workers:
             raise ValueError("a cluster needs at least one worker")
@@ -138,7 +131,6 @@ class ClusterState:
         }
         self.ring = HashRing(self.workers, vnodes=vnodes)
         self.down_after = max(1, down_after)
-        self.data_dirs = dict(data_dirs or {})
         self.sessions: Dict[str, str] = {}  # session_id -> node_id
         self.started = time.monotonic()
 
@@ -229,7 +221,7 @@ class ClusterState:
 
 
 class _Prober(threading.Thread):
-    """Background health prober; drives eject/rejoin + rejoin warm-up."""
+    """Background health prober; drives eject/rejoin."""
 
     def __init__(
         self, state: ClusterState, interval: float, timeout: float
@@ -259,23 +251,9 @@ class _Prober(threading.Thread):
         worker.last_probe_ms = latency_ms
         worker.last_probe_ok = ok
         if ok:
-            rejoined = self.state.note_success(worker)
-            if rejoined:
-                self._warm(worker)
+            self.state.note_success(worker)
         else:
             self.state.note_failure(worker)
-
-    def _warm(self, worker: WorkerView) -> None:
-        """Best-effort cache warm-up for a worker that just rejoined."""
-        if not self.state.data_dirs:
-            return
-        from .warmup import plan_warmup, warm_worker
-
-        with self.state._lock:
-            ring = HashRing(self.state.ring.nodes, vnodes=self.state.ring.vnodes)
-        entries = plan_warmup(worker.node_id, ring, self.state.data_dirs)
-        if entries:
-            worker.warmed_entries += warm_worker(worker.base_url, entries)
 
 
 class RouterServer(JSONServer):
@@ -508,7 +486,6 @@ def make_router(
     workers: Dict[str, str],
     vnodes: int = DEFAULT_VNODES,
     down_after: int = 2,
-    data_dirs: Optional[Dict[str, str]] = None,
     probe_interval: float = 1.0,
     probe_timeout: float = 5.0,
     forward_timeout: float = 60.0,
@@ -525,9 +502,7 @@ def make_router(
     health probing (tests may drive :meth:`_Prober.probe` manually for
     determinism instead).
     """
-    state = ClusterState(
-        workers, vnodes=vnodes, down_after=down_after, data_dirs=data_dirs
-    )
+    state = ClusterState(workers, vnodes=vnodes, down_after=down_after)
     return RouterServer(
         (host, port),
         state,

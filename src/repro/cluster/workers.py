@@ -193,10 +193,6 @@ class ClusterManager:
             if w.base_url is not None
         }
 
-    def data_dirs(self) -> Dict[str, str]:
-        """``node_id -> data_dir`` (the warm-up planner's input)."""
-        return {n: w.data_dir for n, w in self.workers.items()}
-
     def worker(self, node_id: str) -> WorkerProcess:
         return self.workers[node_id]
 

@@ -119,9 +119,13 @@ def subtree_lower_bound(instance: ProblemInstance) -> int:
 
 
 def lower_bound(instance: ProblemInstance) -> int:
-    """Best available lower bound on the optimal replica count."""
-    return max(
-        volume_lower_bound(instance),
-        big_item_lower_bound(instance),
-        subtree_lower_bound(instance),
-    )
+    """Best available lower bound on the optimal replica count.
+
+    Without a distance constraint every client may be served at the
+    root, so nothing is trapped below it and the subtree bound reduces
+    to the volume and big-item bounds: the root-path walk is skipped.
+    """
+    bound = max(volume_lower_bound(instance), big_item_lower_bound(instance))
+    if not instance.has_distance_constraint:
+        return bound
+    return max(bound, subtree_lower_bound(instance))

@@ -13,6 +13,8 @@ Entry points:
   exposes :meth:`resolve_full` for repair-vs-resolve comparisons.
 * :func:`random_event_trace` — seeded randomized event traces for
   experiments and property tests.
+* :func:`repair_placement` / :func:`failure_study` — greedy rerouting
+  of demand off failed replicas (the engine's repair fallback).
 * :class:`IncrementalNodDP` / :class:`IncrementalSingleNod` — the
   memoized bottom-up solvers, reusable directly.
 
@@ -50,6 +52,7 @@ from .incremental import (
     IncrementalStats,
     IncrementalUnsupported,
 )
+from .repair import RepairResult, failure_study, repair_placement
 
 __all__ = [
     "DynamicPlacement",
@@ -72,4 +75,7 @@ __all__ = [
     "IncrementalSingleNod",
     "IncrementalStats",
     "IncrementalUnsupported",
+    "RepairResult",
+    "repair_placement",
+    "failure_study",
 ]

@@ -15,7 +15,7 @@ Repair strategy per :meth:`apply` call, in order of preference:
 2. **incremental + greedy repair** — Single-policy failures: the
    greedy pins replica sites, so the engine solves ignoring failures
    and then reroutes orphaned demand off failed hosts with
-   :func:`repro.simulate.failures.repair_placement`.  Cost may drift
+   :func:`repro.dynamic.repair.repair_placement`.  Cost may drift
    above the solver's figure; the drift is visible in the outcome.
 3. **full-resolve fallback** — distance-constrained instances (and any
    explicitly requested non-incremental solver): optimal substructure
@@ -48,6 +48,7 @@ from .incremental import (
     IncrementalStats,
     IncrementalUnsupported,
 )
+from .repair import repair_placement
 
 __all__ = [
     "DynamicPlacement",
@@ -400,7 +401,5 @@ class DynamicPlacement:
         """Move any replica off a failed host via greedy repair."""
         if not self._failed or not (placement.replicas & self._failed):
             return placement
-        from ..simulate.failures import repair_placement
-
         rr = repair_placement(self._instance, placement, self._failed)
         return rr.placement if rr is not None else None

@@ -11,7 +11,7 @@ immutable — growing the tree is a new instance, not an event):
   replayable from any point);
 * :class:`FailureEvent` — ``node`` crashed and may never host a replica
   again (it still routes traffic: the network position survives, the
-  machine does not — the same model as :mod:`repro.simulate.failures`);
+  machine does not — the same model as :mod:`repro.dynamic.repair`);
 * :class:`CapacityEvent` — the global per-replica capacity ``W`` becomes
   ``capacity`` (a fleet-wide resize; it dirties every subtree by
   definition).
@@ -263,7 +263,19 @@ def random_event_trace(
     property worth benchmarking by default.
     """
     if steps <= 0:
-        raise ValueError("steps must be positive")
+        raise ValueError(f"steps must be positive, got {steps}")
+    if events_per_step <= 0:
+        raise ValueError(f"events_per_step must be positive, got {events_per_step}")
+    if not (0.0 <= p_fail <= 1.0 and 0.0 <= p_capacity <= 1.0):
+        raise ValueError(
+            f"p_fail and p_capacity must lie in [0, 1], got {p_fail} and {p_capacity}"
+        )
+    if p_fail + p_capacity > 1.0:
+        raise ValueError(
+            f"p_fail + p_capacity must be at most 1, got {p_fail + p_capacity}"
+        )
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     tree = instance.tree
     clients = [c for c in tree.clients]
@@ -278,7 +290,7 @@ def random_event_trace(
     levels = {c: tree.requests(c) for c in clients}
     for _ in range(steps):
         batch: List[ChangeEvent] = []
-        for _ in range(max(1, events_per_step)):
+        for _ in range(events_per_step):
             roll = rng.random()
             if roll < p_fail:
                 # A failure draw with no candidates left degrades to a

@@ -1,10 +1,12 @@
-"""Replica-failure injection and repair.
+"""Greedy repair of a placement after replica failures.
 
 The paper's Section 1 motivates smart placement partly through fault
 tolerance.  This module quantifies that: given a valid placement, kill
 replicas and *repair* the placement by re-routing the orphaned demand —
 to surviving replicas with spare capacity where eligibility allows,
-opening fresh replicas otherwise.
+opening fresh replicas otherwise.  :class:`~repro.dynamic.DynamicPlacement`
+uses :func:`repair_placement` for its ``incremental+repair`` and
+full-resolve modes whenever a solver put a replica on a failed host.
 
 Repair strategy (greedy, checker-validated downstream):
 

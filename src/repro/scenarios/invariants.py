@@ -27,7 +27,7 @@ runs them over the scenario grid.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..algorithms.reference import (
@@ -260,23 +260,15 @@ def check_incremental_parity(
     """Pure-incremental repairs cost exactly what a cold solve costs.
 
     Replays ``trace`` through a fresh :class:`~repro.dynamic.DynamicPlacement`
-    via :func:`repro.simulate.run_online` (which cold-solves every step
-    for comparison) and flags any step the engine labelled
-    ``incremental`` whose cost differs from the from-scratch solve.
-    Fallback and failed-repair steps are legitimate outcomes and are
-    not violations.
+    with :func:`repro.replay.run_replay`, auditing every tick: each tick
+    the engine repaired in ``incremental`` mode is re-solved cold, and a
+    differing cost is an ``incremental-parity`` violation.  Fallback and
+    failed-repair ticks are legitimate outcomes and are not violations;
+    the sampled invariants audit every tick's placement too.  Returns
+    the run's violations, their cells prefixed with ``cell``.
     """
-    from ..simulate import run_online
+    # Imported here: the replay runner imports this module.
+    from ..replay import run_replay
 
-    _engine, result = run_online(instance, trace=trace, solver=solver)
-    out: List[Violation] = []
-    for step in result.steps:
-        if step.mode == "incremental" and step.cost_matches is False:
-            out.append(
-                Violation(
-                    "incremental-parity", cell, result.solver,
-                    f"step {step.step} ({step.events}): incremental cost "
-                    f"{step.cost} != scratch cost {step.cost_full}",
-                )
-            )
-    return out
+    result = run_replay(instance, trace, check_every=1, solver=solver)
+    return [replace(v, cell=f"{cell} {v.cell}") for v in result.violations]

@@ -12,8 +12,8 @@ keeps the standing placement under pressure while the failed set grows.
 
 Traces are deterministic given their seed and are consumed by the
 conformance harness's incremental-vs-scratch invariant
-(:func:`repro.scenarios.invariants.check_incremental_parity`) as well
-as directly usable with :func:`repro.simulate.run_online`.
+(:func:`repro.scenarios.invariants.check_incremental_parity`) and are
+directly usable as an event trace of :func:`repro.replay.run_replay`.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def failure_storm_trace(
     Returns
     -------
     A list of event batches suitable for
-    :meth:`repro.dynamic.DynamicPlacement.apply` or the ``trace=``
-    parameter of :func:`repro.simulate.run_online`.  The trace never
+    :meth:`repro.dynamic.DynamicPlacement.apply` or the ``trace``
+    argument of :func:`repro.replay.run_replay`.  The trace never
     fails the root (the origin server always survives) and never fails
     the same node twice.
     """

@@ -35,12 +35,10 @@ Endpoints
     Body: ``{"schema": 1, "session_id": str}``.  Drops the session.
 ``GET /v1/dynamic``
     Lists open sessions with solver, cost and failed hosts.
-``POST /v1/cache/warm``
-    Body: ``{"schema": 1, "entries": [{"key", "instance_fp",
-    "response"}, ...]}``.  Bulk-seeds the result cache — the cluster
-    router's rejoin warm-up path (:mod:`repro.cluster.warmup`).
 
-Anything else is a JSON 404.  Errors outside solver code, the stdlib's
+Anything else is a JSON 404.  Result-cache entries come only from the
+service's own solves and session repairs (and their replay from its own
+write-ahead log); no endpoint accepts a cache entry from a client.  Errors outside solver code, the stdlib's
 own (malformed request line, unsupported method) included, map to the
 ``{"error": {"code", "message"}}`` shape clients already parse.  The
 HTTP plumbing is shared with the cluster router
@@ -262,41 +260,6 @@ class _Handler(JSONHandler):
             },
         )
 
-    def _post_cache_warm(self, payload: object, _body: bytes) -> None:
-        """Cluster warm-up: seed this worker's result cache in bulk.
-
-        Body: ``{"schema": 1, "entries": [{"key", "instance_fp",
-        "response"}, ...]}`` — the shape
-        :func:`repro.cluster.warmup.collect_cache_entries` produces.
-        Answers ``{"warmed", "skipped"}``; malformed entries are a 400.
-        """
-        payload = self._check_envelope(payload)
-        if payload is None:
-            return
-        entries = payload.get("entries")
-        if not isinstance(entries, list):
-            self._send_error_json(
-                400, ErrorCode.BAD_REQUEST, "'entries' must be a list"
-            )
-            return
-        try:
-            warmed, skipped = self.server.service.warm_cache(entries)
-        except (WireFormatError, KeyError, TypeError, ValueError) as exc:
-            self._send_error_json(
-                400,
-                ErrorCode.BAD_REQUEST,
-                f"bad cache entry — {type(exc).__name__}: {exc}",
-            )
-            return
-        self._send_json(
-            200,
-            {
-                "schema": WIRE_SCHEMA_VERSION,
-                "warmed": warmed,
-                "skipped": skipped,
-            },
-        )
-
     def _post_dynamic_close(self, payload: object, _body: bytes) -> None:
         payload = self._check_envelope(payload)
         if payload is None:
@@ -323,7 +286,6 @@ class _Handler(JSONHandler):
         "/v1/dynamic/start": _post_dynamic_start,
         "/v1/dynamic/apply": _post_dynamic_apply,
         "/v1/dynamic/close": _post_dynamic_close,
-        "/v1/cache/warm": _post_cache_warm,
     }
 
 

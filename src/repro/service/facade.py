@@ -614,44 +614,6 @@ class PlacementService:
             )))
             self._index_key(inst_fp, auto_fp)
 
-    def warm_cache(self, entries: Iterable[dict]) -> "tuple[int, int]":
-        """Seed the result cache with entries another node computed.
-
-        The cluster router calls this (via ``POST /v1/cache/warm``) when
-        this worker rejoins the ring, pushing the durable cache entries
-        its ring successors accumulated while it was away — see
-        :mod:`repro.cluster.warmup`.  Each entry is the wire shape
-        ``{"key", "instance_fp", "response"}``; entries already present
-        or with non-cacheable statuses are skipped, accepted ones are
-        WAL-logged like any organic cache put (so warmth survives the
-        *next* crash too).
-
-        Returns ``(warmed, skipped)``.  Raises
-        :class:`~repro.service.schema.WireFormatError` (or ``KeyError``/
-        ``TypeError``) on malformed entries — the daemon maps those to
-        HTTP 400.
-        """
-        warmed = 0
-        skipped = 0
-        for entry in entries:
-            key = str(entry["key"])
-            response = SolveResponse.from_wire(entry["response"])
-            if response.status not in _CACHEABLE or key in self._cache:
-                skipped += 1
-                continue
-            inst_fp = str(entry.get("instance_fp") or "")
-            seq = self._log(
-                CachePut(
-                    key=key, instance_fp=inst_fp, response=response.to_wire()
-                )
-            )
-            self._cache.put(key, response)
-            if inst_fp:
-                self._index_key(inst_fp, key)
-            self._note_applied(seq)
-            warmed += 1
-        return warmed, skipped
-
     def _index_key(self, inst_fp: str, request_fp: str) -> None:
         with self._lock:
             self._fp_index.setdefault(inst_fp, set()).add(request_fp)

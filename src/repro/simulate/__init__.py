@@ -1,22 +1,17 @@
-"""Discrete-event request-serving simulator and online re-placement runs.
+"""Discrete-event request-serving simulator.
 
-Two modes:
-
-* **offline** — :func:`simulate` replays a request trace against one
-  fixed placement (latencies, per-unit loads, overload accounting);
-* **online** — :func:`run_online` replays a *change-event* trace
-  against the :mod:`repro.dynamic` engine and measures repair latency
-  against from-scratch re-solve latency (see ``docs/simulation.md``).
-
-Traffic generators live in :mod:`~repro.simulate.workload`, failure
-injection and greedy repair in :mod:`~repro.simulate.failures`.
+:func:`simulate` replays a request trace against one fixed placement
+(latencies, per-unit loads, overload accounting) — the paper's offline
+model checked in time.  Traffic generators live in
+:mod:`~repro.simulate.workload`.  Change-event traces against the
+re-placement engine run through :func:`repro.replay.run_replay`, and
+greedy failure repair lives in :mod:`repro.dynamic.repair` (see
+``docs/simulation.md``).
 """
 
 from .engine import SimulationResult, simulate
 from .events import EventQueue
-from .failures import RepairResult, failure_study, repair_placement
 from .metrics import ascii_histogram, latency_histogram, utilisation_table
-from .online import OnlineResult, OnlineStep, run_online
 from .workload import (
     Request,
     deterministic_trace,
@@ -26,9 +21,6 @@ from .workload import (
 )
 
 __all__ = [
-    "OnlineResult",
-    "OnlineStep",
-    "run_online",
     "EventQueue",
     "Request",
     "deterministic_trace",
@@ -37,9 +29,6 @@ __all__ = [
     "validate_horizon",
     "simulate",
     "SimulationResult",
-    "RepairResult",
-    "repair_placement",
-    "failure_study",
     "ascii_histogram",
     "latency_histogram",
     "utilisation_table",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Policy, ProblemInstance, TreeBuilder, lower_bound
 from repro.algorithms import exact_multiple, exact_single
@@ -11,7 +13,11 @@ from repro.core.bounds import (
     subtree_lower_bound,
     volume_lower_bound,
 )
-from repro.instances import random_binary_tree, random_tree
+from repro.core.tree import Tree
+from repro.dynamic import DemandEvent
+from repro.instances import isp_mesh, random_binary_tree, random_tree
+from repro.service import PlacementService
+from tests.conftest import tree_instances
 
 
 def fan(requests, W, dmax=None, policy=Policy.SINGLE):
@@ -96,3 +102,43 @@ class TestSoundness:
             policy=Policy.MULTIPLE, seed=seed,
         )
         assert lower_bound(inst) <= exact_multiple(inst).n_replicas
+
+
+class TestNoDShortcut:
+    """Without dmax the bound skips the root-path walk, not the answer."""
+
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=60,
+    )
+    @given(
+        inst=tree_instances(with_dmax=False),
+        policy=st.sampled_from([Policy.SINGLE, Policy.MULTIPLE]),
+    )
+    def test_equals_the_walk_with_a_slack_dmax(self, inst, policy):
+        inst = inst.with_policy(policy)
+        t = inst.tree
+        # A dmax beyond every root distance keeps the walk but lets
+        # every client reach the root, exactly like no dmax at all.
+        slack = 1.0 + max(t.depth(v) for v in range(len(t)))
+        walked = ProblemInstance(t, inst.capacity, slack, policy)
+        assert lower_bound(inst) == lower_bound(walked)
+        assert lower_bound(inst) == subtree_lower_bound(walked)
+
+    def test_service_apply_never_walks_root_paths(self, monkeypatch):
+        inst = isp_mesh(300, capacity=150, seed=2, policy=Policy.SINGLE)
+        assert inst.dmax is None
+        with PlacementService() as svc:
+            sid = svc.start_dynamic(inst)
+
+            def walked(*_args, **_kwargs):
+                raise AssertionError("NoD apply walked a root path")
+
+            monkeypatch.setattr(Tree, "eligible_servers", walked)
+            clients = sorted(inst.tree.clients)[:3]
+            outcome = svc.apply_events(
+                sid, [DemandEvent(c, 1 + inst.tree.requests(c) % 5)
+                      for c in clients],
+            )
+            assert outcome.ok and outcome.mode == "incremental"

@@ -140,8 +140,10 @@ class TestSimulateOnline:
         )
         captured = capsys.readouterr()
         assert rc == 0
-        assert "Online repair vs full re-solve" in captured.out
-        assert "cost parity" in captured.out
+        assert "resolve" in captured.out and "speedup" in captured.out
+        assert len(captured.out.strip().splitlines()) == 1 + 6  # header + steps
+        assert "parity audits" in captured.err
+        assert "0 violations" in captured.err
 
     def test_online_rejects_placement_argument(self, inst_file, capsys):
         rc = main(["simulate", inst_file, inst_file, "--online"])

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.instances import dump_instance
+from repro.instances import dump_instance, random_tree
 
 
 @pytest.fixture
@@ -125,6 +125,33 @@ class TestInvalidStressKnobs:
             main(["stress", "--quick", "--seed", "-3"])
         assert exc.value.code == 2
         assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+class TestInvalidOnlineKnobs:
+    @pytest.fixture
+    def nod_file(self, tmp_path):
+        path = str(tmp_path / "nod.json")
+        dump_instance(random_tree(6, 12, capacity=8, dmax=None, seed=3), path)
+        return path
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--steps", "0"], "steps must be positive"),
+        (["--steps", "-2"], "steps must be positive"),
+        (["--events-per-step", "0"], "events_per_step must be positive"),
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--p-fail", "1.5"], "must lie in [0, 1]"),
+        (["--p-fail", "-1"], "must lie in [0, 1]"),
+        (["--p-capacity", "2"], "must lie in [0, 1]"),
+        (["--p-fail", "0.6", "--p-capacity", "0.6"], "must be at most 1"),
+    ])
+    def test_rejected_with_one_line_rc2(self, nod_file, argv, message, capsys):
+        rc = main(["simulate", nod_file, "--online"] + argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: simulate --online:")
+        assert message in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestNoTraceback:

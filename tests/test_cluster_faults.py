@@ -23,13 +23,11 @@ import urllib.request
 import pytest
 
 from repro.cluster import (
+    WORKER_HEADER,
     HashRing,
-    collect_cache_entries,
     make_router,
-    plan_warmup,
     request_mix,
     run_loadtest,
-    warm_worker,
 )
 from repro.cluster.workers import ClusterManager
 from repro.service import SolveRequest
@@ -40,7 +38,7 @@ N_WORKERS = 3
 
 @pytest.fixture()
 def cluster(tmp_path):
-    """3 subprocess workers + an in-thread router over their data-dirs."""
+    """3 durable subprocess workers + an in-thread router."""
     manager = ClusterManager(
         N_WORKERS, str(tmp_path / "state"), snapshot_interval=8
     )
@@ -48,7 +46,6 @@ def cluster(tmp_path):
         "127.0.0.1",
         0,
         workers=manager.urls(),
-        data_dirs=manager.data_dirs(),
         down_after=1,           # eject on the first failure: fast failover
         backoff_base=0.01,
         backoff_cap=0.05,
@@ -66,14 +63,19 @@ def cluster(tmp_path):
         manager.stop_all(graceful=False)
 
 
-def _post(url: str, payload: dict) -> dict:
+def _post_via(url: str, payload: dict) -> tuple:
+    """POST ``payload``; ``(answer, worker that served it)``."""
     req = urllib.request.Request(
         url,
         data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
     with urllib.request.urlopen(req, timeout=30) as resp:
-        return json.loads(resp.read())
+        return json.loads(resp.read()), resp.headers.get(WORKER_HEADER)
+
+
+def _post(url: str, payload: dict) -> dict:
+    return _post_via(url, payload)[0]
 
 
 class TestKillDuringTraffic:
@@ -111,11 +113,15 @@ class TestKillDuringTraffic:
     def test_restarted_worker_recovers_cache_from_data_dir(self, cluster):
         manager, router, url = cluster
         # Warm the cluster: every quick-mix instance solved and cached.
+        mix = request_mix(0, 40, "quick")
         report = run_loadtest(
             url, n_requests=40, concurrency=4, seed=0, mix="quick"
         )
         assert report.failed == 0
         victim = "worker-1"
+        ring = HashRing(manager.urls())
+        owned = {r.instance_fp: r for r in mix if ring.route(r.instance_fp) == victim}
+        assert owned, "the quick mix routes no key to the victim"
         worker = manager.worker(victim)
         # Give the worker a moment to finish logging, then SIGKILL —
         # no flush, no snapshot.
@@ -124,38 +130,26 @@ class TestKillDuringTraffic:
         assert not worker.alive
         worker.restart()
         assert worker.alive
-        # Its durable cache survived: the data-dir offline fold sees the
-        # same entries a recovering daemon replays.
-        entries = collect_cache_entries(worker.data_dir)
-        victim_owned = [
-            e for e in entries
-            if HashRing(manager.urls()).route(e["instance_fp"]) == victim
-        ]
-        if any(
-            HashRing(manager.urls()).route(fp) == victim
-            for fp in {r.instance_fp for r in request_mix(0, 40, "quick")}
-        ):
-            assert victim_owned, "victim served traffic but kept no cache"
-        # And a solve against the restarted worker for a key it served
-        # before the kill is answered from cache, not recomputed.
-        for entry in victim_owned[:1]:
-            fp = entry["instance_fp"]
-            req = next(
-                r for r in request_mix(0, 40, "quick") if r.instance_fp == fp
-            )
+        # Its durable cache survived: every key it served before the
+        # kill is answered from the cache it replayed, not recomputed.
+        for req in owned.values():
             answer = _post(worker.base_url + "/v1/solve", req.wire)
             assert answer["status"] == "ok"
             assert answer["diagnostics"]["cache_hit"] is True
 
 
-class TestRejoinWarmup:
-    def test_prober_rejoin_warms_from_other_workers(self, cluster):
+class TestRejoin:
+    def test_rejoined_worker_serves_its_keys_from_cache(self, cluster):
         manager, router, url = cluster
+        mix = request_mix(0, 60, "quick")
         report = run_loadtest(
             url, n_requests=60, concurrency=4, seed=0, mix="quick"
         )
         assert report.failed == 0
         victim = "worker-2"
+        ring = HashRing(manager.urls())
+        owned = {r.instance_fp: r for r in mix if ring.route(r.instance_fp) == victim}
+        assert owned, "the quick mix routes no key to the victim"
         view = next(
             w for w in router.state.all_workers() if w.node_id == victim
         )
@@ -163,36 +157,21 @@ class TestRejoinWarmup:
         worker.kill9()
         router.prober.probe(view)       # detect the death -> eject
         assert not view.alive
-        # While the victim is gone its keys were served — and cached —
-        # by the survivors.
-        inst = request_mix(0, 60, "quick")[0]
-        again = _post(url + "/v1/solve", inst.wire)
+        # While the victim is gone its keys are served by the survivors.
+        first = next(iter(owned.values()))
+        again = _post(url + "/v1/solve", first.wire)
         assert again["status"] == "ok"
         worker.restart()
         router.prober.probe(view)       # detect the rebirth -> rejoin
         assert view.alive
-        # Rejoin triggered the warm-up plan: entries other workers hold
-        # for keys the ring routes back to the victim were pushed.
-        ring = HashRing(manager.urls())
-        planned = plan_warmup(victim, ring, manager.data_dirs())
-        for entry in planned:
-            assert ring.route(entry["instance_fp"]) == victim
-
-    def test_warm_worker_pushes_planned_entries(self, cluster):
-        manager, router, url = cluster
-        report = run_loadtest(
-            url, n_requests=60, concurrency=4, seed=3, mix="quick"
-        )
-        assert report.failed == 0
-        # Plan a warm-up for worker-0 from the *other* workers' state
-        # and push it; the worker acknowledges idempotently.
-        ring = HashRing(manager.urls())
-        target = "worker-0"
-        entries = plan_warmup(target, ring, manager.data_dirs())
-        pushed = warm_worker(manager.worker(target).base_url, entries)
-        assert pushed == warm_worker(
-            manager.worker(target).base_url, entries
-        ) + pushed  # second push warms nothing new (all already present)
+        # Rejoin is own-WAL recovery plus the old ring arcs: through
+        # the router, every key the victim served before the kill is
+        # answered by the victim, from its cache.
+        for req in owned.values():
+            answer, served_by = _post_via(url + "/v1/solve", req.wire)
+            assert served_by == victim
+            assert answer["status"] == "ok"
+            assert answer["diagnostics"]["cache_hit"] is True
 
 
 class TestDurableRouting:

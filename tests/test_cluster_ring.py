@@ -8,7 +8,7 @@ The satellites this file pins:
 * with :data:`~repro.cluster.ring.DEFAULT_VNODES` virtual nodes the key
   distribution stays within 2x of uniform;
 * adding or removing one worker remaps at most ``2/N`` of a 1000-key
-  sample (the minimal-remap contract the failover and warm-up logic
+  sample (the minimal-remap contract the failover and rejoin logic
   relies on).
 """
 
@@ -30,7 +30,7 @@ def _workers(n: int) -> list:
 class TestRingPoint:
     def test_golden_values_pin_cross_process_stability(self):
         # blake2b of the label, 8-byte digest, big-endian — if any of
-        # these move, every deployed router and warm-up planner would
+        # these move, every deployed router and load generator would
         # disagree with this build.  Update only with a migration plan.
         assert ring_point("worker-0#0") == 0x08BD46191A68A1E4
         assert ring_point("worker-1#0") == 0x1ED61518B754A610
@@ -49,8 +49,8 @@ class TestDeterminism:
         st.lists(st.text(min_size=1, max_size=32), min_size=1, max_size=40),
     )
     def test_two_rings_same_membership_agree(self, n, keys):
-        # The router, the load generator and the warm-up planner each
-        # build their own ring; every routing decision must coincide.
+        # The router and the load generator each build their own
+        # ring; every routing decision must coincide.
         a = HashRing(_workers(n))
         b = HashRing(reversed(_workers(n)))  # insertion order is irrelevant
         for key in keys:

@@ -315,44 +315,3 @@ class TestSessions:
             _url(router) + "/v1/dynamic/apply", {"schema": 1, "session_id": 7}
         )
         assert status == 400
-
-
-class TestCacheWarm:
-    def test_warm_endpoint_seeds_worker_cache(self, cluster):
-        router, servers = cluster
-        # Solve on worker A, replay the response into worker B's cache
-        # through /v1/cache/warm, then ask B directly: cache hit.
-        inst = random_tree(6, 12, capacity=15, dmax=5.0, seed=77)
-        wire = SolveRequest(instance=inst).to_wire()
-        a, b = _url(servers["worker-0"]), _url(servers["worker-1"])
-        status, response, _ = _post(a + "/v1/solve", wire)
-        assert status == 200 and response["status"] == "ok"
-        fp = instance_fingerprint(inst)
-        entry = {
-            "key": f"test:{fp}",
-            "instance_fp": fp,
-            "response": response,
-        }
-        status, payload, _ = _post(
-            b + "/v1/cache/warm", {"schema": 1, "entries": [entry]}
-        )
-        assert status == 200
-        assert payload["warmed"] == 1 and payload["skipped"] == 0
-        # Re-warming the same key is a skip, not a duplicate.
-        status, payload, _ = _post(
-            b + "/v1/cache/warm", {"schema": 1, "entries": [entry]}
-        )
-        assert payload["warmed"] == 0 and payload["skipped"] == 1
-
-    def test_warm_rejects_malformed_entries(self, cluster):
-        _, servers = cluster
-        b = _url(servers["worker-1"])
-        status, payload, _ = _post(
-            b + "/v1/cache/warm", {"schema": 1, "entries": "nope"}
-        )
-        assert status == 400
-        status, payload, _ = _post(
-            b + "/v1/cache/warm",
-            {"schema": 1, "entries": [{"key": "k"}]},  # missing response
-        )
-        assert status == 400

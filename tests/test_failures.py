@@ -1,4 +1,4 @@
-"""Tests for failure injection and repair (repro.simulate.failures)."""
+"""Tests for failure injection and repair (repro.dynamic.repair)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 
 from repro import Policy, ProblemInstance, TreeBuilder, is_valid
 from repro.algorithms import multiple_bin, single_gen
+from repro.dynamic import failure_study, repair_placement
 from repro.instances import random_binary_tree, random_tree
-from repro.simulate import failure_study, repair_placement
 
 
 class TestRepairSingle:

@@ -21,7 +21,7 @@ from repro import (
 )
 from repro.core import preprocess
 from repro.core.kernels import conv_arg, min_plus
-from repro.simulate import repair_placement
+from repro.dynamic import repair_placement
 
 from tests.conftest import tree_instances
 from tests.test_kernel_conformance import row_from_table, table_from_row

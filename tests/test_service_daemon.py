@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import urllib.error
@@ -9,9 +10,10 @@ import urllib.request
 
 import pytest
 
-from repro import ProblemInstance, Tree, check_placement
+from repro import Placement, ProblemInstance, Tree, check_placement
 from repro.instances import random_tree
 from repro.service import PlacementService, SolveRequest, SolveResponse, make_server
+from repro.service.fingerprint import instance_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +191,34 @@ class TestRouting:
             assert SolveResponse.from_wire(body).ok
         finally:
             conn.close()
+
+    def test_cache_entries_cannot_be_posted(self, base_url):
+        # No endpoint may put an answer into the result cache: a forged
+        # 1-replica `ok` entry posted to the old warm-up path is a 404,
+        # and the next solve is computed and checker-valid, not a hit.
+        inst = random_tree(9, 18, capacity=7, dmax=None, seed=123)
+        with PlacementService() as svc:
+            honest = svc.solve(SolveRequest(instance=inst))
+        assert honest.ok and honest.n_replicas > 1
+        root = inst.tree.root
+        forged = dataclasses.replace(
+            honest, n_replicas=1, placement=Placement([root], {})
+        )
+        entry = {
+            "key": honest.diagnostics.fingerprint,
+            "instance_fp": instance_fingerprint(inst),
+            "response": forged.to_wire(),
+        }
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base_url + "/v1/cache/warm", {"schema": 1, "entries": [entry]})
+        assert err.value.code == 404
+        assert "error" in json.loads(err.value.read())
+        answer = SolveResponse.from_wire(
+            _post(base_url + "/v1/solve", SolveRequest(instance=inst).to_wire())
+        )
+        assert answer.ok and not answer.diagnostics.cache_hit
+        assert answer.n_replicas == honest.n_replicas
+        check_placement(inst, answer.placement)
 
     def test_healthz_reflects_traffic(self, base_url, inst):
         _post(base_url + "/v1/solve", SolveRequest(instance=inst).to_wire())
