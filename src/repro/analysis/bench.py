@@ -26,7 +26,10 @@ object-graph baseline with bit-identical placements (see
 ``docs/performance.md`` and the equivalence property tests in
 ``tests/test_arrays.py``).  The quick and full profiles also time the
 dynamic engine's tick: a 1-event ``DynamicPlacement.apply`` on the
-9544-node ISP mesh, per policy (solver name :data:`TICK`).
+9544-node ISP mesh, per policy (solver name :data:`TICK`), and a
+service cache hit on the same mesh, from request body bytes to response
+bytes as the daemon answers ``/v1/solve`` (solver name
+:data:`SERVICE_HIT`); the smoke profile runs both on a 40-POP mesh.
 
 Timing
 ------
@@ -74,6 +77,10 @@ BENCH_PREFIX = "BENCH_"
 
 #: Pseudo-solver of the tick entries: one 1-event ``DynamicPlacement.apply``.
 TICK = "dynamic-apply"
+
+#: Pseudo-solver of the wire-hit entries: one cached ``/v1/solve`` body
+#: answered by :meth:`~repro.service.PlacementService.solve_wire`.
+SERVICE_HIT = "service-hit"
 
 #: Shortest timing sample, in seconds (see "Timing" above).
 SAMPLE_S = 0.02
@@ -128,6 +135,7 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
             ("smoke-nod-single", nod_multi.with_policy(Policy.SINGLE), ["single-nod"]),
             ("smoke-mesh-single", mesh, [TICK]),
             ("smoke-mesh-multi", mesh.with_policy(Policy.MULTIPLE), [TICK]),
+            ("smoke-mesh-wire", mesh, [SERVICE_HIT]),
         ]
     if profile not in ("full", "quick"):
         raise ValueError(f"unknown bench profile {profile!r}")
@@ -148,6 +156,7 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
          ["single-nod", "greedy-packing"]),
         ("mesh-single", mesh, [TICK]),
         ("mesh-multi", mesh.with_policy(Policy.MULTIPLE), [TICK]),
+        ("mesh-wire", mesh, [SERVICE_HIT]),
     ]
     if profile == "full":
         d220 = random_tree(
@@ -242,6 +251,38 @@ def _tick(instance: ProblemInstance) -> Callable[[], object]:
     return apply
 
 
+def _service_hit(instance: ProblemInstance) -> Callable[[], bytes]:
+    """A call that answers one cached ``/v1/solve`` body.
+
+    It does what the daemon does between reading a request body and
+    writing the response, with no socket: ``json.loads`` of the body
+    bytes, then :meth:`~repro.service.PlacementService.solve_wire`.
+    The service and the cached answer are built here, untimed.
+    """
+    from ..service import PlacementService, SolveRequest
+
+    service = PlacementService()
+    body = json.dumps(SolveRequest(instance=instance).to_wire()).encode()
+
+    def answer() -> bytes:
+        status, response = service.solve_wire(json.loads(body))
+        if status != 200:
+            raise RuntimeError(f"/v1/solve answered HTTP {status}")
+        return response
+
+    answer()
+    if not json.loads(answer())["diagnostics"]["cache_hit"]:
+        raise RuntimeError("a repeated body missed the cache")
+    return answer
+
+
+def _n_replicas(result: object) -> int:
+    """Objective of a timed call's result: a placement or a response body."""
+    if isinstance(result, bytes):
+        return json.loads(result)["n_replicas"]
+    return result.n_replicas
+
+
 def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
     """Run the pinned corpus and return a snapshot dict.
 
@@ -278,9 +319,11 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
             try:
                 if solver == TICK:
                     fn = _tick(inst)
+                elif solver == SERVICE_HIT:
+                    fn = _service_hit(inst)
                 else:
                     fn = partial(get_solver(solver).fn, inst)
-                wall, placement, calls = _time_best(fn, repeats)
+                wall, result, calls = _time_best(fn, repeats)
             except Exception as exc:  # noqa: BLE001 — recorded, not raised
                 entries.append({
                     "instance": name, "solver": solver, "n_nodes": n_nodes,
@@ -296,7 +339,7 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                 "repeats": repeats,
                 "calls": calls,
                 "throughput_nps": n_nodes / wall if wall > 0 else None,
-                "n_replicas": placement.n_replicas,
+                "n_replicas": _n_replicas(result),
             })
             ref = _reference_fn(solver)
             if ref is not None:
@@ -309,7 +352,7 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                     "flat_s": wall,
                     "reference_s": ref_wall,
                     "speedup": ref_wall / wall if wall > 0 else None,
-                    "identical": placement == ref_placement,
+                    "identical": result == ref_placement,
                 })
 
     # Calibrated before and after the corpus, keeping the faster: the

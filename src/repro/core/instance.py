@@ -169,11 +169,12 @@ def _packed(typecode: str, values: Sequence) -> bytes:
 def _int_column(tag: bytes, values: Sequence[int]) -> bytes:
     """An int64 column under ``tag``, or its decimal text under the
     upper-case tag when a value does not fit (a demand or capacity of
-    ``10**20`` is a valid instance)."""
+    ``10**20`` is a valid instance).  Either form takes integers only
+    (``True`` as ``1``), so a column keys as the ints it decodes to."""
     try:
         return tag + _packed("q", values)
     except OverflowError:
-        return tag.upper() + ",".join(map(str, values)).encode()
+        return tag.upper() + ",".join(map(str, map(operator.index, values))).encode()
 
 
 def fingerprint_columns(

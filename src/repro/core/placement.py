@@ -38,7 +38,9 @@ class Placement:
         integers; the checker enforces everything else.
     """
 
-    __slots__ = ("_replicas", "_assignments", "_hash")
+    # ``_wire`` memoizes the canonical JSON encoding, which
+    # :func:`repro.instances.io.placement_json` fills on first use.
+    __slots__ = ("_replicas", "_assignments", "_hash", "_wire")
 
     def __init__(
         self,
@@ -57,6 +59,7 @@ class Placement:
         self._replicas: FrozenSet[int] = frozenset(int(r) for r in replicas)
         self._assignments: Dict[Tuple[int, int], int] = amap
         self._hash: int | None = None
+        self._wire: str | None = None
 
     @classmethod
     def _trusted(
@@ -71,6 +74,7 @@ class Placement:
         placement._replicas = replicas
         placement._assignments = assignments
         placement._hash = None
+        placement._wire = None
         return placement
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
+from typing import List, Optional
 
 from ..core.errors import InvalidInstanceError
 from ..core.instance import ProblemInstance, fingerprint_columns
@@ -19,7 +19,9 @@ from ..core.policies import Policy
 from ..core.tree import NO_PARENT, Tree
 
 __all__ = [
+    "RawJSON",
     "canonical_json",
+    "canonical_json_spliced",
     "instance_to_dict",
     "instance_from_dict",
     "instance_fingerprint_from_dict",
@@ -27,6 +29,7 @@ __all__ = [
     "load_instance",
     "placement_to_dict",
     "placement_from_dict",
+    "placement_json",
     "to_dot",
 ]
 
@@ -45,6 +48,81 @@ def canonical_json(data: object) -> str:
     return json.dumps(
         data, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
+
+
+class RawJSON:
+    """A value already encoded as canonical JSON.
+
+    :func:`canonical_json_spliced` writes ``text`` verbatim where the
+    value sits, so a large encoded subtree (a cached placement) is
+    joined into each document that carries it instead of re-encoded.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+class _Splice(Exception):
+    """Raised inside the :mod:`json` encoder when it meets a :class:`RawJSON`."""
+
+
+def _refuse(value: object) -> object:
+    if isinstance(value, RawJSON):
+        raise _Splice
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_ENCODERS = {
+    allow_nan: json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), allow_nan=allow_nan, default=_refuse
+    )
+    for allow_nan in (False, True)
+}
+
+
+def canonical_json_spliced(data: object, *, allow_nan: bool = False) -> str:
+    """:func:`canonical_json` of ``data`` with :class:`RawJSON` values
+    written verbatim.
+
+    Equals ``canonical_json`` of the same value with every ``RawJSON``
+    replaced by its decoded text.  A container holding no ``RawJSON``
+    is encoded in one call of the :mod:`json` encoder; one that does is
+    walked, and only its objects need string keys.  ``allow_nan=True`` writes
+    ``NaN``/``Infinity`` as :func:`json.dumps` does instead of raising.
+    """
+    out: List[str] = []
+    _splice(data, out, _ENCODERS[allow_nan])
+    return "".join(out)
+
+
+def _splice(value: object, out: List[str], encoder: json.JSONEncoder) -> None:
+    if isinstance(value, RawJSON):
+        out.append(value.text)
+        return
+    try:
+        out.append(encoder.encode(value))
+        return
+    except _Splice:
+        pass
+    if isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if i:
+                out.append(",")
+            out.append(encoder.encode(key) + ":")
+            _splice(value[key], out, encoder)
+        out.append("}")
+    else:  # a list or tuple: nothing else reaches the default hook
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _splice(item, out, encoder)
+        out.append("]")
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
@@ -91,16 +169,33 @@ def instance_from_dict(data: dict) -> ProblemInstance:
 
 def instance_fingerprint_from_dict(data: dict) -> str:
     """``instance_fingerprint(instance_from_dict(data))`` without
-    building the instance: the cluster router keys request bodies with
-    it.  Nothing is validated; a body whose columns do not pack raises
+    building the instance: the cluster router and the service's wire
+    solve path key request bodies with it.
+
+    Only the columns are checked, not the tree: a body the decoder
+    rejects for its topology or values keys apart from every valid
+    instance, so it can never be answered as one.  Three things would
+    pack like a valid instance and raise ``ValueError`` here, as the
+    decoder rejects them: an instance schema other than 1, columns of
+    unequal length (a short ``deltas`` and a long ``requests`` would
+    otherwise pack into the bytes of a valid instance) and a string
+    ``dmax``.  A body whose columns do not pack at all raises
     ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError``.
     """
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
+        raise ValueError("unsupported instance schema")
+    parents, deltas, requests = data["parents"], data["deltas"], data["requests"]
+    if not len(parents) == len(deltas) == len(requests):
+        raise ValueError("parents, deltas and requests must have the same length")
+    dmax = data["dmax"]
+    if isinstance(dmax, str):
+        raise ValueError("dmax must be a number or null")
     return fingerprint_columns(
-        data["parents"],
-        _deltas_from_wire(data["deltas"]),
-        data["requests"],
+        parents,
+        _deltas_from_wire(deltas),
+        requests,
         data["capacity"],
-        data["dmax"],
+        dmax,
         data["policy"],
     )
 
@@ -132,6 +227,16 @@ def placement_from_dict(data: dict) -> Placement:
     """Inverse of :func:`placement_to_dict`."""
     assignments = {(c, s): a for (c, s, a) in data["assignments"]}
     return Placement(data["replicas"], assignments)
+
+
+def placement_json(placement: Placement) -> str:
+    """``canonical_json(placement_to_dict(placement))``, computed once
+    per placement: the immutable placement keeps it, the way it keeps
+    its hash.  Two threads that race to fill it compute equal text."""
+    text = placement._wire
+    if text is None:
+        text = placement._wire = canonical_json(placement_to_dict(placement))
+    return text
 
 
 def to_dot(

@@ -4,9 +4,13 @@ A dependency-free daemon on stdlib ``http.server``: a
 :class:`~http.server.ThreadingHTTPServer` whose handler delegates every
 request to one shared, thread-safe
 :class:`~repro.service.facade.PlacementService`.  JSON in, JSON out,
-same wire schema as the library codecs — a round-trip through the
-daemon is byte-identical to ``SolveRequest.to_wire`` /
-``SolveResponse.from_wire``.
+same wire schema as the library codecs — a solve body sent through the
+daemon decodes to the ``SolveResponse.to_wire()`` an in-process
+``PlacementService.solve`` returns (timings aside).  Solve bodies are
+canonical JSON (sorted keys, no whitespace); a cache hit is answered
+from the wire columns' key without building the instance, writing the
+cached placement's stored bytes (see
+:meth:`~repro.service.facade.PlacementService.solve_wire`).
 
 Endpoints
 ---------
@@ -63,21 +67,9 @@ from ..core.errors import ReproError
 from ..storage import StateStore
 from .facade import PlacementService, UnknownSessionError
 from .httpjson import JSONHandler, JSONServer, graceful_shutdown
-from .schema import (
-    WIRE_SCHEMA_VERSION,
-    ErrorCode,
-    SolveRequest,
-    WireFormatError,
-)
+from .schema import WIRE_SCHEMA_VERSION, ErrorCode
 
 __all__ = ["PlacementServer", "make_server", "serve"]
-
-# Request-level error codes that are the caller's fault -> HTTP 400.
-_CALLER_FAULT = (
-    ErrorCode.BAD_REQUEST,
-    ErrorCode.UNKNOWN_SOLVER,
-    ErrorCode.NO_APPLICABLE_SOLVER,
-)
 
 
 def _version() -> str:
@@ -135,16 +127,7 @@ class _Handler(JSONHandler):
 
     # -- POST routes ---------------------------------------------------
     def _post_solve(self, payload: object, _body: bytes) -> None:
-        try:
-            request = SolveRequest.from_wire(payload)
-        except WireFormatError as exc:
-            self._send_error_json(400, ErrorCode.BAD_REQUEST, str(exc))
-            return
-        response = self.server.service.solve(request)
-        http_status = 200
-        if response.error is not None and response.error.code in _CALLER_FAULT:
-            http_status = 400
-        self._send_json(http_status, response.to_wire())
+        self._send_bytes(*self.server.service.solve_wire(payload))
 
     # -- dynamic sessions ----------------------------------------------
     def _check_envelope(self, payload: object) -> Optional[dict]:

@@ -19,6 +19,11 @@ order:
 5. cache deterministic outcomes (``ok`` and ``infeasible``) and record
    latency/status counters for :meth:`stats`.
 
+:meth:`PlacementService.solve_wire` is the same call on a parsed
+``/v1/solve`` body, answering with HTTP status and body bytes: it keys
+the body's instance columns, so a cache hit builds no instance and
+writes the cached placement's stored encoding.
+
 The service is thread-safe end to end (locked cache, locked counters),
 so the threaded HTTP daemon and library callers share one instance.
 
@@ -39,7 +44,16 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.bounds import lower_bound
 from ..core.instance import ProblemInstance, instance_fingerprint
@@ -47,6 +61,7 @@ from ..core.placement import Placement
 from ..core.validation import placement_violations
 from ..instances.io import (
     canonical_json,
+    instance_fingerprint_from_dict,
     instance_from_dict,
     instance_to_dict,
     placement_to_dict,
@@ -67,7 +82,16 @@ from ..storage import (
 )
 from .cache import CacheStats, ResultCache
 from .fingerprint import combine_fingerprint
-from .schema import Diagnostics, ErrorCode, ErrorInfo, SolveRequest, SolveResponse
+from .httpjson import error_body
+from .schema import (
+    Diagnostics,
+    ErrorCode,
+    ErrorInfo,
+    SolveRequest,
+    SolveResponse,
+    WireFormatError,
+    read_solve_envelope,
+)
 from .selection import NoApplicableSolverError, select_solver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -84,6 +108,13 @@ class UnknownSessionError(KeyError):
 
 # Deterministic outcomes worth caching: re-solving cannot change them.
 _CACHEABLE = (Status.OK, Status.INFEASIBLE)
+
+# Request-level error codes that are the caller's fault -> HTTP 400.
+_CALLER_FAULT = (
+    ErrorCode.BAD_REQUEST,
+    ErrorCode.UNKNOWN_SOLVER,
+    ErrorCode.NO_APPLICABLE_SOLVER,
+)
 
 _STATUS_TO_CODE = {
     Status.INFEASIBLE: ErrorCode.INFEASIBLE,
@@ -243,27 +274,83 @@ class PlacementService:
         fp = combine_fingerprint(
             inst_fp, request.solver, request.budget, request.tenant
         )
-
         cached = self._cache.get(fp)
         if cached is not None:
-            response = replace(
-                cached,
-                request_id=request.request_id,
-                placement=(
-                    cached.placement if request.include_assignments else None
-                ),
-                diagnostics=replace(
-                    cached.diagnostics,
-                    cache_hit=True,
-                    service_ms=(time.perf_counter() - t0) * 1e3,
-                    # Fresh dict per response: callers may mutate it,
-                    # and the cached entry must stay pristine.
-                    counters=dict(cached.diagnostics.counters),
-                ),
+            return self._hit(
+                cached, request.request_id, request.include_assignments, t0
             )
-            self._record(response)
-            return response
+        return self._miss(request, inst_fp, fp, t0)
 
+    def solve_wire(self, payload: object) -> Tuple[int, bytes]:
+        """Answer one parsed ``/v1/solve`` body: ``(http_status, body)``.
+
+        The daemon's whole solve route.  The envelope is checked as
+        :meth:`SolveRequest.from_wire` checks it, and the instance is
+        keyed from its wire columns
+        (:func:`~repro.instances.io.instance_fingerprint_from_dict`), so
+        a cache hit builds no :class:`~repro.core.tree.Tree` and writes
+        the entry's memoized placement bytes.  A miss, and any body
+        that fails a check or whose columns do not pack, goes through
+        ``SolveRequest.from_wire``: a malformed body gets its 400 and
+        error object exactly as before, even when a well-formed twin is
+        cached.  One cache lookup per request, counted as
+        :meth:`solve` counts it.  The body is canonical JSON
+        (:meth:`SolveResponse.encode`).
+        """
+        t0 = time.perf_counter()
+        try:
+            envelope = read_solve_envelope(payload)
+            inst_fp = instance_fingerprint_from_dict(envelope.instance)
+        except (WireFormatError, KeyError, TypeError, ValueError, OverflowError):
+            envelope = inst_fp = None
+        if inst_fp is not None:
+            fp = combine_fingerprint(
+                inst_fp, envelope.solver, envelope.budget, envelope.tenant
+            )
+            cached = self._cache.get(fp)
+            if cached is not None:
+                return 200, self._hit(
+                    cached, envelope.request_id, envelope.include_assignments, t0
+                ).encode()
+        try:
+            request = SolveRequest.from_wire(payload)
+        except WireFormatError as exc:
+            return 400, error_body(ErrorCode.BAD_REQUEST, str(exc))
+        if inst_fp is None:
+            response = self.solve(request)
+        else:
+            response = self._miss(request, inst_fp, fp, t0)
+        caller_fault = (
+            response.error is not None and response.error.code in _CALLER_FAULT
+        )
+        return (400 if caller_fault else 200), response.encode()
+
+    def _hit(
+        self,
+        cached: SolveResponse,
+        request_id: object,
+        include_assignments: bool,
+        t0: float,
+    ) -> SolveResponse:
+        response = replace(
+            cached,
+            request_id=request_id,
+            placement=cached.placement if include_assignments else None,
+            diagnostics=replace(
+                cached.diagnostics,
+                cache_hit=True,
+                service_ms=(time.perf_counter() - t0) * 1e3,
+                # Fresh dict per response: callers may mutate it, and
+                # the cached entry must stay pristine.
+                counters=dict(cached.diagnostics.counters),
+            ),
+        )
+        self._record(response)
+        return response
+
+    def _miss(
+        self, request: SolveRequest, inst_fp: str, fp: str, t0: float
+    ) -> SolveResponse:
         response = self._compute(request, fp, t0)
         if response.status in _CACHEABLE:
             # Cache the full response (assignments included) so later
@@ -278,9 +365,17 @@ class PlacementService:
                     counters=dict(response.diagnostics.counters),
                 ),
             )
-            seq = self._log(
-                CachePut(key=fp, instance_fp=inst_fp, response=entry.to_wire())
-            )
+            seq = None
+            if self._store is not None:
+                # Built only when it is logged: encoding the entry walks
+                # every assignment once (then the placement keeps it).
+                seq = self._log(
+                    CachePut(
+                        key=fp,
+                        instance_fp=inst_fp,
+                        response=entry.to_spliced_wire(),
+                    )
+                )
             self._cache.put(fp, entry)
             self._index_key(inst_fp, fp)
             self._note_applied(seq)
@@ -694,7 +789,10 @@ class PlacementService:
         return store.snapshot_now(self._snapshot_state)
 
     def _snapshot_state(self) -> dict:
-        """JSON-able capture of the durable state (sessions + cache)."""
+        """Capture of the durable state (sessions + cache) for
+        :func:`~repro.instances.io.canonical_json_spliced`: each cached
+        placement is its memoized encoding, so a snapshot walks only
+        the assignments of entries never encoded before."""
         with self._lock:
             sessions = list(self._sessions.items())
             key_to_fp = {
@@ -714,7 +812,7 @@ class PlacementService:
             {
                 "key": key,
                 "instance_fp": key_to_fp.get(key, ""),
-                "response": resp.to_wire(),
+                "response": resp.to_spliced_wire(),
             }
             for key, resp in self._cache.entries()
         ]

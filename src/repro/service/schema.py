@@ -26,15 +26,18 @@ response as :class:`ErrorInfo`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from ..core.errors import ReproError
 from ..core.instance import ProblemInstance
 from ..core.placement import Placement
 from ..instances.io import (
+    RawJSON,
+    canonical_json_spliced,
     instance_from_dict,
     instance_to_dict,
     placement_from_dict,
+    placement_json,
     placement_to_dict,
 )
 
@@ -43,9 +46,11 @@ __all__ = [
     "ErrorCode",
     "ErrorInfo",
     "Diagnostics",
+    "SolveEnvelope",
     "SolveRequest",
     "SolveResponse",
     "WireFormatError",
+    "read_solve_envelope",
 ]
 
 WIRE_SCHEMA_VERSION = 1
@@ -113,7 +118,8 @@ class Diagnostics:
         (``service_ms`` reflects what *this* request cost).
     service_ms:
         End-to-end milliseconds inside the service, including cache
-        lookup, selection and validation.
+        lookup, selection and validation (over HTTP, from the parsed
+        body on, instance decoding included).
     counters:
         Solver work counters, when the solver exposes them.
     """
@@ -173,43 +179,80 @@ class SolveRequest:
 
     @classmethod
     def from_wire(cls, data: object) -> "SolveRequest":
-        if not isinstance(data, dict):
-            raise WireFormatError(
-                f"request must be a JSON object, got {type(data).__name__}"
-            )
-        schema = data.get("schema")
-        if schema != WIRE_SCHEMA_VERSION:
-            raise WireFormatError(
-                f"unsupported wire schema {schema!r} "
-                f"(this service speaks version {WIRE_SCHEMA_VERSION})"
-            )
-        if "instance" not in data:
-            raise WireFormatError("request is missing the 'instance' field")
-        try:
-            instance = instance_from_dict(data["instance"])
-        except Exception as exc:  # noqa: BLE001 — normalise codec failures
-            raise WireFormatError(
-                f"bad instance payload — {type(exc).__name__}: {exc}"
-            ) from None
-        solver = data.get("solver")
-        if solver is not None and not isinstance(solver, str):
-            raise WireFormatError("'solver' must be a string or null")
-        budget = data.get("budget")
-        if budget is not None and (
-            not isinstance(budget, int) or isinstance(budget, bool)
-        ):
-            raise WireFormatError("'budget' must be an integer or null")
-        tenant = data.get("tenant")
-        if tenant is not None and not isinstance(tenant, str):
-            raise WireFormatError("'tenant' must be a string or null")
-        return cls(
-            instance=instance,
-            solver=solver,
-            budget=budget,
-            include_assignments=bool(data.get("include_assignments", True)),
-            request_id=data.get("request_id"),
-            tenant=tenant,
+        return cls(*read_solve_envelope(data, _decode_instance))
+
+
+def _decode_instance(data: object) -> ProblemInstance:
+    try:
+        return instance_from_dict(data)
+    except Exception as exc:  # noqa: BLE001 — normalise codec failures
+        raise WireFormatError(
+            f"bad instance payload — {type(exc).__name__}: {exc}"
+        ) from None
+
+
+class SolveEnvelope(NamedTuple):
+    """A solve request's fields, in :class:`SolveRequest` order; the
+    ``instance`` is whatever the caller's instance codec returned."""
+
+    instance: object
+    solver: Optional[str]
+    budget: Optional[int]
+    include_assignments: bool
+    request_id: object
+    tenant: Optional[str]
+
+
+def read_solve_envelope(
+    data: object, decode_instance: Callable[[object], object] = lambda raw: raw
+) -> SolveEnvelope:
+    """The checks of :meth:`SolveRequest.from_wire`, in its order.
+
+    ``decode_instance`` runs where the instance is decoded, after the
+    envelope's schema and ``instance`` presence checks and before the
+    ``solver``/``budget``/``tenant`` type checks.  The default keeps
+    the instance as its wire dict: the service's wire path keys that
+    dict and decodes it only on a cache miss.  ``include_assignments``
+    is coerced with ``bool`` and ``request_id`` passes as sent.
+
+    Raises
+    ------
+    WireFormatError
+        For a malformed envelope (or whatever ``decode_instance``
+        raises).
+    """
+    if not isinstance(data, dict):
+        raise WireFormatError(
+            f"request must be a JSON object, got {type(data).__name__}"
         )
+    schema = data.get("schema")
+    if schema != WIRE_SCHEMA_VERSION:
+        raise WireFormatError(
+            f"unsupported wire schema {schema!r} "
+            f"(this service speaks version {WIRE_SCHEMA_VERSION})"
+        )
+    if "instance" not in data:
+        raise WireFormatError("request is missing the 'instance' field")
+    instance = decode_instance(data["instance"])
+    solver = data.get("solver")
+    if solver is not None and not isinstance(solver, str):
+        raise WireFormatError("'solver' must be a string or null")
+    budget = data.get("budget")
+    if budget is not None and (
+        not isinstance(budget, int) or isinstance(budget, bool)
+    ):
+        raise WireFormatError("'budget' must be an integer or null")
+    tenant = data.get("tenant")
+    if tenant is not None and not isinstance(tenant, str):
+        raise WireFormatError("'tenant' must be a string or null")
+    return SolveEnvelope(
+        instance,
+        solver,
+        budget,
+        bool(data.get("include_assignments", True)),
+        data.get("request_id"),
+        tenant,
+    )
 
 
 @dataclass
@@ -238,6 +281,31 @@ class SolveResponse:
         return self.status == "ok"
 
     def to_wire(self) -> dict:
+        placement = self.placement
+        return self._wire(
+            placement_to_dict(placement) if placement is not None else None
+        )
+
+    def to_spliced_wire(self) -> dict:
+        """:meth:`to_wire` with the placement as its memoized canonical
+        JSON (:func:`~repro.instances.io.placement_json`): encoded with
+        :func:`~repro.instances.io.canonical_json_spliced`, it gives the
+        bytes ``canonical_json(self.to_wire())`` would, without walking
+        the assignments again."""
+        placement = self.placement
+        return self._wire(
+            RawJSON(placement_json(placement)) if placement is not None else None
+        )
+
+    def encode(self) -> bytes:
+        """The response body: canonical JSON of :meth:`to_wire`, with the
+        placement spliced in.  ``NaN`` is written as :func:`json.dumps`
+        writes it (a client may send it as a ``request_id``)."""
+        return canonical_json_spliced(
+            self.to_spliced_wire(), allow_nan=True
+        ).encode("utf-8")
+
+    def _wire(self, placement: object) -> dict:
         return {
             "schema": WIRE_SCHEMA_VERSION,
             "request_id": self.request_id,
@@ -245,11 +313,7 @@ class SolveResponse:
             "solver": self.solver,
             "n_replicas": self.n_replicas,
             "lower_bound": self.lower_bound,
-            "placement": (
-                placement_to_dict(self.placement)
-                if self.placement is not None
-                else None
-            ),
+            "placement": placement,
             "diagnostics": self.diagnostics.to_wire(),
             "error": self.error.to_wire() if self.error is not None else None,
         }

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Type, Union
 
-from ..instances.io import canonical_json
+from ..instances.io import canonical_json_spliced
 from .wal import RecoveryError
 
 __all__ = [
@@ -51,7 +51,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CachePut:
-    """A deterministic solve response was cached under ``key``."""
+    """A deterministic solve response was cached under ``key``.
+
+    ``response`` is the response's wire dict; the service passes its
+    placement pre-encoded (:class:`~repro.instances.io.RawJSON`), which
+    encodes to the same payload bytes.  A decoded record holds plain
+    JSON.
+    """
 
     key: str
     instance_fp: str
@@ -174,8 +180,9 @@ _KINDS: Dict[str, Type] = {
 
 
 def encode_record(record: LogRecord) -> bytes:
-    """Canonical-JSON payload bytes for one record."""
-    return canonical_json(record.to_wire()).encode("utf-8")
+    """Canonical-JSON payload bytes for one record (pre-encoded
+    :class:`~repro.instances.io.RawJSON` values spliced in verbatim)."""
+    return canonical_json_spliced(record.to_wire()).encode("utf-8")
 
 
 def decode_record(payload: bytes) -> LogRecord:

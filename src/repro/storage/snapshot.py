@@ -26,6 +26,7 @@ import os
 import re
 from typing import List, Optional, Tuple
 
+from ..instances.io import canonical_json_spliced
 from .fsutil import atomic_write_bytes
 from .wal import RecoveryError
 
@@ -67,13 +68,14 @@ def write_snapshot(
 ) -> str:
     """Atomically persist ``state`` as the snapshot for sequence ``seq``.
 
-    Prunes every older snapshot after the new one is durable; returns
-    the new snapshot's path.
+    The file is JSON with sorted keys and no whitespace;
+    :class:`~repro.instances.io.RawJSON` values in ``state`` (stored
+    encodings) are written verbatim.  Prunes every older snapshot after
+    the new one is durable; returns the new snapshot's path.
     """
-    payload = json.dumps(
+    payload = canonical_json_spliced(
         {"schema": SNAPSHOT_SCHEMA_VERSION, "seq": int(seq), "state": state},
-        sort_keys=True,
-        separators=(",", ":"),
+        allow_nan=True,
     ).encode("utf-8")
     path = snapshot_path(data_dir, seq)
     atomic_write_bytes(path, payload, fsync=fsync)

@@ -19,6 +19,10 @@ from repro.analysis import (
 from repro.cli import main
 
 
+def corpus_instance(profile, name):
+    return {n: inst for n, inst, _s in bench_corpus(profile)}[name]
+
+
 @pytest.fixture(scope="module")
 def smoke_snapshot():
     """One smoke-profile bench run shared by the module's tests."""
@@ -43,6 +47,14 @@ class TestCorpus:
         for name in ("mesh-single", "mesh-multi"):
             inst, solvers = corpus[name]
             assert len(inst.tree) == 9544 and solvers == ["dynamic-apply"]
+
+    def test_quick_and_smoke_profiles_time_the_wire_hit(self):
+        for profile, name in (("quick", "mesh-wire"), ("smoke", "smoke-mesh-wire")):
+            corpus = {n: (inst, solvers) for n, inst, solvers
+                      in bench_corpus(profile)}
+            inst, solvers = corpus[name]
+            assert solvers == ["service-hit"]
+        assert len(corpus_instance("quick", "mesh-wire").tree) == 9544
 
     def test_full_profile_extends_quick(self):
         quick = {name for name, _i, _s in bench_corpus("quick")}
@@ -71,6 +83,17 @@ class TestRunBench:
         assert solvers == {"multiple-nod-dp", "single-nod", "multiple-greedy"}
         assert all(c["identical"] for c in smoke_snapshot["comparisons"])
         assert all(c["speedup"] > 0 for c in smoke_snapshot["comparisons"])
+
+    def test_service_hit_answers_the_cached_solve(self, smoke_snapshot):
+        from repro.service import PlacementService
+
+        [entry] = [e for e in smoke_snapshot["entries"]
+                   if e["solver"] == "service-hit"]
+        want = PlacementService().solve_instance(
+            corpus_instance("smoke", entry["instance"])
+        )
+        assert entry["status"] == "ok"
+        assert entry["n_replicas"] == want.n_replicas
 
     def test_render_table(self, smoke_snapshot):
         text = render_bench_table(smoke_snapshot)

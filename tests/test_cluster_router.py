@@ -24,6 +24,7 @@ from repro.cluster import WORKER_HEADER, HashRing, make_router
 from repro.instances import caterpillar, random_tree, star
 from repro.service import SolveRequest, make_server
 from repro.service.fingerprint import instance_fingerprint
+from tests.test_service_wire import TWINS, twin_bodies
 
 N_WORKERS = 3
 
@@ -259,6 +260,30 @@ class TestFailover:
         views = router.state.all_workers()
         assert sum(w.requests for w in views) == 2
         assert all(w.retries == 0 for w in views)
+
+
+    @pytest.mark.parametrize("case", TWINS, ids=lambda c: c.id)
+    def test_malformed_twin_gets_the_workers_400(self, cluster, case):
+        # The twin is cached on its worker first; the malformed body is
+        # rejected with the decoder's error, relayed once, not retried.
+        router, servers = cluster
+        good, bad = twin_bodies(case)
+        for _ in range(2):
+            status, payload, _ = _post(_url(router) + "/v1/solve", good)
+            assert status == 200
+        assert payload["diagnostics"]["cache_hit"]
+        with pytest.raises(Exception) as excinfo:
+            SolveRequest.from_wire(bad)
+        status, payload, headers = _post(_url(router) + "/v1/solve", bad)
+        assert status == 400
+        assert payload["error"] == {
+            "code": "bad_request",
+            "message": str(excinfo.value),
+        }
+        if case.id in ("instance-schema-2", "string-dmax", "unequal-columns"):
+            # Keyed like the twin before; now the fixed unkeyed route.
+            assert headers[WORKER_HEADER] == HashRing(servers).route("unkeyed")
+        assert all(w.retries == 0 for w in router.state.all_workers())
 
 
 class TestSessions:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import InvalidInstanceError, Placement, Policy
 from repro.algorithms import single_gen
@@ -17,6 +20,12 @@ from repro.instances import (
     placement_to_dict,
     random_tree,
     to_dot,
+)
+from repro.instances.io import (
+    RawJSON,
+    canonical_json,
+    canonical_json_spliced,
+    placement_json,
 )
 
 
@@ -70,6 +79,50 @@ class TestPlacementRoundTrip:
     def test_empty(self):
         p = Placement([], {})
         assert placement_from_dict(placement_to_dict(p)) == p
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestSplicedCanonicalJson:
+    @given(value=json_values, rnd=st.randoms(use_true_random=False))
+    def test_equals_canonical_json_of_the_decoded_value(self, value, rnd):
+        def pre_encode(v):
+            if rnd.random() < 0.3:
+                return RawJSON(canonical_json(v))
+            if isinstance(v, dict):
+                return {k: pre_encode(x) for k, x in v.items()}
+            if isinstance(v, list):
+                return [pre_encode(x) for x in v]
+            return v
+
+        assert canonical_json_spliced(pre_encode(value)) == canonical_json(value)
+
+    def test_non_finite_floats(self):
+        value = {"a": RawJSON("[1]"), "b": math.nan}
+        with pytest.raises(ValueError):
+            canonical_json_spliced(value)
+        assert canonical_json_spliced(value, allow_nan=True) == '{"a":[1],"b":NaN}'
+
+    def test_unencodable_values_raise_type_error(self):
+        for value in ({"a": RawJSON("1"), "b": {1, 2}}, [RawJSON("1"), object()]):
+            with pytest.raises(TypeError):
+                canonical_json_spliced(value)
+
+    def test_placement_json_is_computed_once(self, paper_example):
+        placement = single_gen(paper_example)
+        text = placement_json(placement)
+        assert text == canonical_json(placement_to_dict(placement))
+        assert placement_json(placement) is text
 
 
 class TestDot:

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import threading
+
+import pytest
 
 from repro import Policy, ProblemInstance, Tree
 from repro.cluster import MIXES
 from repro.core import instance_fingerprint as core_instance_fingerprint
+from repro.core.instance import fingerprint_columns
 from repro.instances import (
     instance_from_dict,
     instance_to_dict,
+    isp_mesh,
     make_instance,
     random_tree,
 )
@@ -22,6 +28,7 @@ from repro.service import (
     instance_fingerprint,
     request_fingerprint,
 )
+from tests.test_service_wire import TWINS, twin_bodies
 
 
 class TestResultCache:
@@ -186,3 +193,87 @@ class TestFingerprints:
         assert request_fingerprint(a, solver="single-gen") != request_fingerprint(
             a, solver="local"
         )
+
+
+class TestWireKeyStrictness:
+    """``instance_fingerprint_from_dict`` refuses what the decoder refuses
+    whenever the columns would otherwise pack like a valid instance."""
+
+    @staticmethod
+    def _wire(**changes) -> dict:
+        wire = instance_to_dict(isp_mesh(20, capacity=150, seed=3))
+        wire.update(changes)
+        return json.loads(json.dumps(wire))
+
+    def test_instance_schema_other_than_1_raises(self):
+        for schema in (2, None, "1"):
+            with pytest.raises(ValueError, match="schema"):
+                instance_fingerprint_from_dict(self._wire(schema=schema))
+        del_schema = self._wire()
+        del del_schema["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            instance_fingerprint_from_dict(del_schema)
+
+    def test_string_dmax_raises(self):
+        with pytest.raises(ValueError, match="dmax"):
+            instance_fingerprint_from_dict(self._wire(dmax="5"))
+
+    def test_unequal_columns_raise(self):
+        wire = self._wire()
+        for column in ("parents", "deltas", "requests"):
+            short = copy.deepcopy(wire)
+            short[column].pop()
+            with pytest.raises(ValueError, match="same length"):
+                instance_fingerprint_from_dict(short)
+
+    def test_the_shifted_delta_pair_no_longer_collides(self):
+        # 31 deltas and 33 requests on a 32-node tree packed into the
+        # bytes of a valid instance whose last delta starts with b"r".
+        [case] = [t for t in TWINS if t.id == "unequal-columns"]
+        good, bad = twin_bodies(case)
+        valid, shifted = good["instance"], bad["instance"]
+        key = instance_fingerprint(instance_from_dict(valid))
+        assert instance_fingerprint_from_dict(valid) == key
+        # The columns alone pack to the valid instance's key ...
+        assert fingerprint_columns(
+            shifted["parents"],
+            [math.inf] + shifted["deltas"][1:],
+            shifted["requests"],
+            shifted["capacity"],
+            shifted["dmax"],
+            shifted["policy"],
+        ) == key
+        # ... so the wire key refuses them, as the decoder does.
+        with pytest.raises(ValueError, match="same length"):
+            instance_fingerprint_from_dict(shifted)
+
+    def test_accepted_variants_key_as_the_decoded_instance(self):
+        # Bodies the decoder accepts in another spelling: where they
+        # pack, they key as the instance they decode to.
+        huge = self._wire()
+        huge["requests"][-1] = 10**20
+        variants = [
+            self._wire(capacity="150"),
+            self._wire(capacity=150.0),
+            self._wire(dmax=5),
+            self._wire(dmax=True),
+            self._wire(schema=1.0),
+            huge,
+        ]
+        boolean = self._wire()
+        boolean["requests"][-1] = True
+        variants.append(boolean)
+        for wire in variants:
+            assert instance_fingerprint_from_dict(wire) == instance_fingerprint(
+                instance_from_dict(wire)
+            )
+
+    def test_float_demand_beyond_int64_does_not_key(self):
+        # The decimal fallback takes integers only: 3.0 would key as
+        # text "3.0", not as the 3 it decodes to.
+        wire = self._wire()
+        wire["requests"][-2] = 10**20
+        wire["requests"][-1] = float(wire["requests"][-1])
+        assert instance_from_dict(wire).tree.requests(len(wire["requests"]) - 1) > 0
+        with pytest.raises(TypeError):
+            instance_fingerprint_from_dict(wire)
