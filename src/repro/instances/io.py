@@ -21,7 +21,6 @@ from ..core.tree import NO_PARENT, Tree
 __all__ = [
     "RawJSON",
     "canonical_json",
-    "canonical_json_spliced",
     "instance_to_dict",
     "instance_from_dict",
     "instance_fingerprint_from_dict",
@@ -36,26 +35,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def canonical_json(data: object) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace).
-
-    Two structurally equal payloads always encode to the same string,
-    which makes the output suitable for content-addressing — the service
-    hashes request keys and its durable state over it (instances key
-    by their packed columns instead, see
-    :func:`~repro.core.instance.instance_fingerprint`).
-    """
-    return json.dumps(
-        data, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-
-
 class RawJSON:
     """A value already encoded as canonical JSON.
 
-    :func:`canonical_json_spliced` writes ``text`` verbatim where the
-    value sits, so a large encoded subtree (a cached placement) is
-    joined into each document that carries it instead of re-encoded.
+    :func:`canonical_json` writes ``text`` verbatim where the value
+    sits, so a large encoded subtree (a cached placement) is joined into
+    each document that carries it instead of re-encoded.
     """
 
     __slots__ = ("text",)
@@ -82,15 +67,21 @@ _ENCODERS = {
 }
 
 
-def canonical_json_spliced(data: object, *, allow_nan: bool = False) -> str:
-    """:func:`canonical_json` of ``data`` with :class:`RawJSON` values
-    written verbatim.
+def canonical_json(data: object, *, allow_nan: bool = False) -> str:
+    """Deterministic JSON encoding (sorted keys, no whitespace).
 
-    Equals ``canonical_json`` of the same value with every ``RawJSON``
-    replaced by its decoded text.  A container holding no ``RawJSON``
-    is encoded in one call of the :mod:`json` encoder; one that does is
-    walked, and only its objects need string keys.  ``allow_nan=True`` writes
-    ``NaN``/``Infinity`` as :func:`json.dumps` does instead of raising.
+    Two structurally equal payloads always encode to the same string,
+    which makes the output suitable for content-addressing — the service
+    hashes request keys and its durable state over it (instances key
+    by their packed columns instead, see
+    :func:`~repro.core.instance.instance_fingerprint`).
+
+    A :class:`RawJSON` value is written verbatim, so the output equals
+    the encoding of the same value with its text decoded in place.  A
+    container holding none is encoded in one call of the :mod:`json`
+    encoder; one that does is walked, and only its objects need string
+    keys.  ``allow_nan=True`` writes ``NaN``/``Infinity`` as
+    :func:`json.dumps` does instead of raising.
     """
     out: List[str] = []
     _splice(data, out, _ENCODERS[allow_nan])

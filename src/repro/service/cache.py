@@ -66,17 +66,28 @@ class ResultCache(Generic[V]):
             return key in self._data
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[V]:
-        """The cached value (promoted to most-recent), or ``None``."""
+    def get(self, key: str, *, count_miss: bool = True) -> Optional[V]:
+        """The cached value (promoted to most-recent), or ``None``.
+
+        ``count_miss=False`` leaves a miss uncounted, for a caller that
+        learns only later whether the lookup served a request; it counts
+        the miss then with :meth:`note_miss`.  A hit always counts.
+        """
         with self._lock:
             try:
                 value = self._data[key]
             except KeyError:
-                self._misses += 1
+                if count_miss:
+                    self._misses += 1
                 return None
             self._data.move_to_end(key)
             self._hits += 1
             return value
+
+    def note_miss(self) -> None:
+        """Count a miss that ``get(..., count_miss=False)`` left out."""
+        with self._lock:
+            self._misses += 1
 
     def put(self, key: str, value: V) -> None:
         """Insert/refresh ``key``, evicting the LRU entry when full."""

@@ -307,7 +307,9 @@ class PlacementService:
             fp = combine_fingerprint(
                 inst_fp, envelope.solver, envelope.budget, envelope.tenant
             )
-            cached = self._cache.get(fp)
+            # A miss counts once the body decodes: a body the decoder
+            # rejects is no request and touches no stats.
+            cached = self._cache.get(fp, count_miss=False)
             if cached is not None:
                 return 200, self._hit(
                     cached, envelope.request_id, envelope.include_assignments, t0
@@ -319,6 +321,7 @@ class PlacementService:
         if inst_fp is None:
             response = self.solve(request)
         else:
+            self._cache.note_miss()
             response = self._miss(request, inst_fp, fp, t0)
         caller_fault = (
             response.error is not None and response.error.code in _CALLER_FAULT
@@ -790,7 +793,7 @@ class PlacementService:
 
     def _snapshot_state(self) -> dict:
         """Capture of the durable state (sessions + cache) for
-        :func:`~repro.instances.io.canonical_json_spliced`: each cached
+        :func:`~repro.instances.io.canonical_json`: each cached
         placement is its memoized encoding, so a snapshot walks only
         the assignments of entries never encoded before."""
         with self._lock:

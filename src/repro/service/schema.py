@@ -33,7 +33,7 @@ from ..core.instance import ProblemInstance
 from ..core.placement import Placement
 from ..instances.io import (
     RawJSON,
-    canonical_json_spliced,
+    canonical_json,
     instance_from_dict,
     instance_to_dict,
     placement_from_dict,
@@ -179,7 +179,7 @@ class SolveRequest:
 
     @classmethod
     def from_wire(cls, data: object) -> "SolveRequest":
-        return cls(*read_solve_envelope(data, _decode_instance))
+        return cls(**read_solve_envelope(data, _decode_instance)._asdict())
 
 
 def _decode_instance(data: object) -> ProblemInstance:
@@ -192,8 +192,9 @@ def _decode_instance(data: object) -> ProblemInstance:
 
 
 class SolveEnvelope(NamedTuple):
-    """A solve request's fields, in :class:`SolveRequest` order; the
-    ``instance`` is whatever the caller's instance codec returned."""
+    """A solve request's fields, named as :class:`SolveRequest` names
+    them (``SolveRequest(**envelope._asdict())``); the ``instance`` is
+    whatever the caller's instance codec returned."""
 
     instance: object
     solver: Optional[str]
@@ -246,12 +247,12 @@ def read_solve_envelope(
     if tenant is not None and not isinstance(tenant, str):
         raise WireFormatError("'tenant' must be a string or null")
     return SolveEnvelope(
-        instance,
-        solver,
-        budget,
-        bool(data.get("include_assignments", True)),
-        data.get("request_id"),
-        tenant,
+        instance=instance,
+        solver=solver,
+        budget=budget,
+        include_assignments=bool(data.get("include_assignments", True)),
+        request_id=data.get("request_id"),
+        tenant=tenant,
     )
 
 
@@ -289,9 +290,9 @@ class SolveResponse:
     def to_spliced_wire(self) -> dict:
         """:meth:`to_wire` with the placement as its memoized canonical
         JSON (:func:`~repro.instances.io.placement_json`): encoded with
-        :func:`~repro.instances.io.canonical_json_spliced`, it gives the
-        bytes ``canonical_json(self.to_wire())`` would, without walking
-        the assignments again."""
+        :func:`~repro.instances.io.canonical_json`, it gives the bytes
+        ``canonical_json(self.to_wire())`` would, without walking the
+        assignments again."""
         placement = self.placement
         return self._wire(
             RawJSON(placement_json(placement)) if placement is not None else None
@@ -301,7 +302,7 @@ class SolveResponse:
         """The response body: canonical JSON of :meth:`to_wire`, with the
         placement spliced in.  ``NaN`` is written as :func:`json.dumps`
         writes it (a client may send it as a ``request_id``)."""
-        return canonical_json_spliced(
+        return canonical_json(
             self.to_spliced_wire(), allow_nan=True
         ).encode("utf-8")
 

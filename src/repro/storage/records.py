@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Type, Union
 
-from ..instances.io import canonical_json_spliced
+from ..instances.io import canonical_json
 from .wal import RecoveryError
 
 __all__ = [
@@ -182,7 +182,7 @@ _KINDS: Dict[str, Type] = {
 def encode_record(record: LogRecord) -> bytes:
     """Canonical-JSON payload bytes for one record (pre-encoded
     :class:`~repro.instances.io.RawJSON` values spliced in verbatim)."""
-    return canonical_json_spliced(record.to_wire()).encode("utf-8")
+    return canonical_json(record.to_wire()).encode("utf-8")
 
 
 def decode_record(payload: bytes) -> LogRecord:

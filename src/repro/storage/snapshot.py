@@ -26,7 +26,7 @@ import os
 import re
 from typing import List, Optional, Tuple
 
-from ..instances.io import canonical_json_spliced
+from ..instances.io import canonical_json
 from .fsutil import atomic_write_bytes
 from .wal import RecoveryError
 
@@ -73,7 +73,7 @@ def write_snapshot(
     encodings) are written verbatim.  Prunes every older snapshot after
     the new one is durable; returns the new snapshot's path.
     """
-    payload = canonical_json_spliced(
+    payload = canonical_json(
         {"schema": SNAPSHOT_SCHEMA_VERSION, "seq": int(seq), "state": state},
         allow_nan=True,
     ).encode("utf-8")

@@ -21,12 +21,7 @@ from repro.instances import (
     random_tree,
     to_dot,
 )
-from repro.instances.io import (
-    RawJSON,
-    canonical_json,
-    canonical_json_spliced,
-    placement_json,
-)
+from repro.instances.io import RawJSON, canonical_json, placement_json
 
 
 class TestInstanceRoundTrip:
@@ -93,30 +88,45 @@ json_values = st.recursive(
 )
 
 
-class TestSplicedCanonicalJson:
+def _dumps(value: object, allow_nan: bool = False) -> str:
+    """Canonical JSON as one :func:`json.dumps` call writes it."""
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan
+    )
+
+
+class TestCanonicalJson:
     @given(value=json_values, rnd=st.randoms(use_true_random=False))
-    def test_equals_canonical_json_of_the_decoded_value(self, value, rnd):
+    def test_spliced_value_encodes_as_the_decoded_value(self, value, rnd):
         def pre_encode(v):
             if rnd.random() < 0.3:
-                return RawJSON(canonical_json(v))
+                return RawJSON(_dumps(v))
             if isinstance(v, dict):
                 return {k: pre_encode(x) for k, x in v.items()}
             if isinstance(v, list):
                 return [pre_encode(x) for x in v]
             return v
 
-        assert canonical_json_spliced(pre_encode(value)) == canonical_json(value)
+        assert canonical_json(value) == _dumps(value)
+        assert canonical_json(pre_encode(value)) == _dumps(value)
 
     def test_non_finite_floats(self):
-        value = {"a": RawJSON("[1]"), "b": math.nan}
-        with pytest.raises(ValueError):
-            canonical_json_spliced(value)
-        assert canonical_json_spliced(value, allow_nan=True) == '{"a":[1],"b":NaN}'
+        for value, text in (
+            ({"a": RawJSON("[1]"), "b": math.nan}, '{"a":[1],"b":NaN}'),
+            ({"b": math.inf}, '{"b":Infinity}'),
+        ):
+            with pytest.raises(ValueError):
+                canonical_json(value)
+            assert canonical_json(value, allow_nan=True) == text
 
     def test_unencodable_values_raise_type_error(self):
-        for value in ({"a": RawJSON("1"), "b": {1, 2}}, [RawJSON("1"), object()]):
+        for value in (
+            {"a": RawJSON("1"), "b": {1, 2}},
+            [RawJSON("1"), object()],
+            {"b": {1, 2}},
+        ):
             with pytest.raises(TypeError):
-                canonical_json_spliced(value)
+                canonical_json(value)
 
     def test_placement_json_is_computed_once(self, paper_example):
         placement = single_gen(paper_example)

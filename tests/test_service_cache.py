@@ -40,6 +40,15 @@ class TestResultCache:
         s = c.stats()
         assert (s.hits, s.misses, s.size) == (1, 1, 1)
 
+    def test_an_uncounted_miss_counts_only_when_noted(self):
+        c = ResultCache(max_entries=2)
+        c.put("a", 1)
+        assert c.get("b", count_miss=False) is None
+        assert (c.stats().hits, c.stats().misses) == (0, 0)
+        c.note_miss()
+        assert c.get("a", count_miss=False) == 1
+        assert (c.stats().hits, c.stats().misses) == (1, 1)
+
     def test_lru_eviction_order(self):
         c = ResultCache(max_entries=2)
         c.put("a", 1)

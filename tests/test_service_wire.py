@@ -166,6 +166,15 @@ def twin_bodies(case: Twin) -> tuple:
     return good, bad
 
 
+def _keys(instance: dict) -> bool:
+    """Whether the wire path can key ``instance`` from its columns."""
+    try:
+        wire_io.instance_fingerprint_from_dict(instance)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 def _decoder_error(body: dict) -> str:
     with pytest.raises(WireFormatError) as excinfo:
         SolveRequest.from_wire(body)
@@ -308,6 +317,15 @@ class TestHitPath:
             want = reference.solve(request)
             status, _answer = post(url, request.to_wire())
             assert status == (400 if want.error and want.error.code == "unknown_solver" else 200)
+        # A body the decoder rejects is no request in-process; through
+        # the daemon it touches no stats either, even when its columns
+        # key and it reaches a cache lookup.
+        keyed = 0
+        for case in TWINS:
+            _good, bad = twin_bodies(case)
+            keyed += _keys(bad["instance"])
+            assert post(url, bad)[0] == 400
+        assert keyed >= 5
         live, ref = server.service.stats(), reference.stats()
         assert live.requests == ref.requests == len(requests)
         assert live.by_status == ref.by_status
