@@ -26,13 +26,17 @@ hence the factor 2, which is tight (Fig. 4, reproduced in
 
 Data layout
 -----------
-The fold runs over the :class:`~repro.core.arrays.FlatTree` post-order:
-``for p in range(n)`` with ``demand`` array lookups and
-``first_child`` / ``next_sibling`` child chains — no per-node method
-calls or tuple allocation.  Each subtree's result is summarised by its
-*export* (the aggregate entry, or the leftover entries of a packing),
-exactly like the memoized incremental fold in
-:mod:`repro.dynamic.incremental`.
+Algorithm 2 is a fold over the :class:`~repro.core.arrays.FlatTree`
+post-order (:func:`fold`): ``for p in positions`` with ``demand`` array
+lookups and ``first_child`` / ``next_sibling`` child chains.  Each
+position's result is its *export* — what its subtree pushes to its
+parent: the aggregate entry, the leftover entries of a packing, or
+nothing — and its *contribution*, the replicas opened while folding
+it.  :func:`single_nod` folds every position and sums the
+contributions into the placement;
+:class:`repro.dynamic.IncrementalSingleNod` runs the same :func:`fold`
+over the root paths of changed positions only, and retracts and re-adds
+just their contributions.
 
 Invariants
 ----------
@@ -45,15 +49,15 @@ returned placement is exactly equal.  Property-tested in
 ``tests/test_arrays.py``.
 
 Complexity: ``O((Δ log Δ + |C|) · |T|)`` — we sort entry lists per node;
-entry bundles are concatenated by reference so total bookkeeping stays
+leftover entries are handed up by reference, so bookkeeping stays
 linear in the number of client-to-server handoffs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.arrays import flat_tree
+from ..core.arrays import FlatTree, flat_tree
 from ..core.errors import InfeasibleInstanceError, PolicyError
 from ..core.instance import ProblemInstance
 from ..core.kernels import prefix_fit, stable_argsort
@@ -61,14 +65,135 @@ from ..core.placement import Placement
 from ..core.policies import Policy
 from ..runner.registry import register_solver
 
-__all__ = ["single_nod"]
+__all__ = ["Contribution", "Export", "add", "fold", "single_nod"]
 
+#: ``(client, amount)`` pairs served together.
+Bundle = Tuple[Tuple[int, int], ...]
 #: An entry: ``(node, demand, bundle)`` — a pending group of whole
 #: clients rooted at ``node`` (an original tree id).  ``demand ≤ W``
-#: always holds; ``bundle`` lists the (client, amount) pairs the entry
-#: is made of.  An entry is served atomically, so the Single policy is
-#: respected by construction.
-_Entry = Tuple[int, int, List[Tuple[int, int]]]
+#: always holds.  An entry is served atomically, so the Single policy
+#: is respected by construction.
+Entry = Tuple[int, int, Bundle]
+#: What subtree(p) pushes to parent(p): ``("agg", (entry,))`` for an
+#: aggregated subtree, ``("left", entries)`` for the leftovers of a
+#: packing at ``p``, or ``None``.
+Export = Optional[Tuple[str, Tuple[Entry, ...]]]
+#: The replicas opened while folding a node: ``((site, bundle), ...)``.
+Contribution = Tuple[Tuple[int, Bundle], ...]
+
+
+def fold(
+    ft: FlatTree,
+    W: int,
+    exports: List[Export],
+    contributions: List[Contribution],
+    positions: Iterable[int],
+) -> None:
+    """Fold the nodes at ``positions`` into ``exports`` and
+    ``contributions``, bottom-up.
+
+    Parameters
+    ----------
+    ft:
+        The instance tree's flat layout; no demand exceeds ``W``.
+    W:
+        Server capacity.
+    exports, contributions:
+        One entry per post position; every child of a folded node must
+        already hold its export (an earlier position, or a reused one).
+        Entries and sites carry *original* node ids.
+    positions:
+        Ascending post positions to fold.
+    """
+    post_to_orig = ft.post_to_orig
+    demand = ft.demand
+    first_child = ft.first_child
+    next_sibling = ft.next_sibling
+    root = ft.root
+    for p in positions:
+        j = post_to_orig[p]
+        c = first_child[p]
+        if c < 0:
+            r = demand[p]
+            if not r:
+                exports[p], contributions[p] = None, ()
+            elif p == root:
+                exports[p], contributions[p] = None, ((j, ((j, r),)),)
+            else:
+                exports[p], contributions[p] = ("agg", ((j, r, ((j, r),)),)), ()
+            continue
+
+        # The original's inbox order: leftovers child by child in
+        # *reversed* child order, then aggregates in child order.
+        children: List[int] = []
+        while c >= 0:
+            children.append(c)
+            c = next_sibling[c]
+        entries: List[Entry] = []
+        for c in reversed(children):
+            export = exports[c]
+            if export is not None and export[0] == "left":
+                entries.extend(export[1])
+        for c in children:
+            export = exports[c]
+            if export is not None and export[0] == "agg":
+                entries.extend(export[1])
+        total = 0
+        for e in entries:
+            total += e[1]
+
+        if total <= W:
+            # Aggregate the whole subtree into one entry (Property 1).
+            if not total:
+                exports[p], contributions[p] = None, ()
+            elif p == root:
+                exports[p], contributions[p] = None, ((j, _bundle(entries)),)
+            else:
+                exports[p] = ("agg", ((j, total, _bundle(entries)),))
+                contributions[p] = ()
+            continue
+
+        # Pack a replica at j with the smallest entries (stable sort:
+        # insertion order breaks demand ties, as in the original).
+        order = stable_argsort([e[1] for e in entries])
+        entries = [entries[i] for i in order]
+        k = prefix_fit([e[1] for e in entries], W)
+        assert k < len(entries)  # total > W and demands ≤ W
+        # The entry that burst the capacity gets its own replica at its
+        # root node (the paper's jmin / R2 replica).
+        overflow = entries[k]
+        contribution = [(j, _bundle(entries[:k])), (overflow[0], overflow[2])]
+        leftovers = tuple(entries[k + 1 :])
+        if p == root:
+            # Paper's R3: leftovers at the root each get a replica.
+            contribution.extend((e[0], e[2]) for e in leftovers)
+            exports[p] = None
+        else:
+            exports[p] = ("left", leftovers)
+        contributions[p] = tuple(contribution)
+
+
+def _bundle(entries: List[Entry]) -> Bundle:
+    out: List[Tuple[int, int]] = []
+    for e in entries:
+        out.extend(e[2])
+    return tuple(out)
+
+
+def add(
+    sites: Dict[int, int],
+    amounts: Dict[Tuple[int, int], int],
+    contributions: Iterable[Contribution],
+) -> None:
+    """Add the replicas of ``contributions`` to the placement maps:
+    replica site -> number of contributions opening it,
+    ``(client, site) -> amount``."""
+    for contribution in contributions:
+        for site, bundle in contribution:
+            sites[site] = sites.get(site, 0) + 1
+            for client, amount in bundle:
+                key = (client, site)
+                amounts[key] = amounts.get(key, 0) + amount
 
 
 @register_solver(
@@ -114,99 +239,11 @@ def single_nod(instance: ProblemInstance) -> Placement:
             f"a client demands {tree.max_request} > W={W}; "
             "no Single placement exists"
         )
-
     ft = flat_tree(tree)
-    n = ft.n
-    root = ft.root
-    demand = ft.demand
-    first_child = ft.first_child
-    next_sibling = ft.next_sibling
-    post_to_orig = ft.post_to_orig
-
-    replicas: List[int] = []
-    assignments: Dict[Tuple[int, int], int] = {}
-
-    def open_replica(at: int, entries: List[_Entry]) -> None:
-        replicas.append(at)
-        for (_node, _dem, bundle) in entries:
-            for client, amount in bundle:
-                assignments[(client, at)] = (
-                    assignments.get((client, at), 0) + amount
-                )
-
-    # export[p]: what subtree(p) pushes to its parent — ("agg", [entry])
-    # for an aggregated subtree, ("left", entries) for the leftovers of
-    # a packing at p, or None.
-    export: List[Optional[Tuple[str, List[_Entry]]]] = [None] * n
-
-    for j in range(n):
-        v = post_to_orig[j]
-        if first_child[j] < 0:
-            r = demand[j]
-            if j == root:
-                if r > 0:
-                    open_replica(v, [(v, r, [(v, r)])])
-                continue
-            export[j] = ("agg", [(v, r, [(v, r)])]) if r > 0 else None
-            continue
-
-        # The original's inbox order: leftovers child-by-child in
-        # *reversed* child order, then aggregates in child order.
-        entries: List[_Entry] = []
-        children: List[int] = []
-        c = first_child[j]
-        while c >= 0:
-            children.append(c)
-            c = next_sibling[c]
-        for c in reversed(children):
-            exp = export[c]
-            if exp is not None and exp[0] == "left":
-                entries.extend(exp[1])
-        for c in children:
-            exp = export[c]
-            if exp is not None and exp[0] == "agg":
-                entries.extend(exp[1])
-
-        total = 0
-        for e in entries:
-            total += e[1]
-
-        if total > W:
-            # Pack a replica at j with the smallest entries (stable
-            # sort: insertion order breaks demand ties, as in the
-            # original); the kernel helpers keep the scan identical in
-            # either backend.
-            order = stable_argsort([e[1] for e in entries])
-            entries = [entries[i] for i in order]
-            k = prefix_fit([e[1] for e in entries], W)
-            assert k < len(entries)  # total > W and demands ≤ W
-            open_replica(v, entries[:k])
-            # The entry that burst the capacity gets its own replica at
-            # its root node (the paper's jmin / R2 replica).
-            overflow = entries[k]
-            open_replica(overflow[0], [overflow])
-            leftovers = entries[k + 1 :]
-            if j != root:
-                export[j] = ("left", leftovers)
-            else:
-                # Paper's R3: leftovers at the root each get a replica.
-                for e in leftovers:
-                    open_replica(e[0], [e])
-        else:
-            if j == root:
-                if total > 0:
-                    merged: List[Tuple[int, int]] = []
-                    for (_node, _dem, bundle) in entries:
-                        merged.extend(bundle)
-                    open_replica(v, [(v, total, merged)])
-            else:
-                # Aggregate the whole subtree into one entry (Property 1).
-                if total > 0:
-                    merged = []
-                    for (_node, _dem, bundle) in entries:
-                        merged.extend(bundle)
-                    export[j] = ("agg", [(v, total, merged)])
-                else:
-                    export[j] = None
-
-    return Placement(replicas, assignments)
+    exports: List[Export] = [None] * ft.n
+    contributions: List[Contribution] = [()] * ft.n
+    fold(ft, W, exports, contributions, range(ft.n))
+    sites: Dict[int, int] = {}
+    amounts: Dict[Tuple[int, int], int] = {}
+    add(sites, amounts, contributions)
+    return Placement._trusted(frozenset(sites), amounts)

@@ -55,11 +55,12 @@ class _Entry:
 def single_nod_bestfit(instance: ProblemInstance) -> Placement:
     """Algorithm 2 with best-fit-decreasing packing at overflow nodes.
 
-    Identical control flow to :func:`~repro.algorithms.single_nod` —
+    Same control flow as :func:`~repro.algorithms.single_nod` —
     aggregation (Property 1), entry re-parenting, root fallback — but an
     overflow replica greedily absorbs the largest entries that still
-    fit, and the overflow companion replica (the paper's ``jmin``) opens
-    only when some entry remains that the node cannot take.
+    fit, and no companion replica (the paper's ``jmin``) opens: every
+    entry the node cannot take is handed to its parent, and at the root
+    each gets its own replica.
     """
     if instance.has_distance_constraint:
         raise PolicyError(

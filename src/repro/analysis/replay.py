@@ -17,16 +17,12 @@ Renders a :class:`~repro.replay.ReplayResult` two ways:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from ..replay.runner import ReplayResult, TickRow
+from ..service.facade import percentile
 
 __all__ = ["replay_report", "render_replay_table"]
-
-
-def _pct(sorted_vals: Sequence[float], q: float) -> float:
-    idx = min(len(sorted_vals) - 1, max(0, round(q * (len(sorted_vals) - 1))))
-    return sorted_vals[idx]
 
 
 def _series_stats(values: List[float]) -> dict:
@@ -35,7 +31,7 @@ def _series_stats(values: List[float]) -> dict:
     vals = sorted(values)
     return {
         "mean": sum(vals) / len(vals),
-        "p95": _pct(vals, 0.95),
+        "p95": percentile(vals, 0.95),
         "max": vals[-1],
     }
 

@@ -26,9 +26,10 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..instances import make_instance
+from ..service.facade import percentile
 from ..service.fingerprint import instance_fingerprint
 from ..service.schema import SolveRequest
 from .router import WORKER_HEADER
@@ -146,15 +147,6 @@ def request_mix(
                     wire=pool[c][2])
         for i, c in enumerate(choices)
     ]
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(
-        len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1)))
-    )
-    return sorted_values[idx]
 
 
 @dataclass
@@ -394,9 +386,9 @@ def run_loadtest(
     latencies.sort()
     report.latency_ms = {
         "mean": sum(latencies) / len(latencies) if latencies else 0.0,
-        "p50": _percentile(latencies, 0.50),
-        "p90": _percentile(latencies, 0.90),
-        "p99": _percentile(latencies, 0.99),
+        "p50": percentile(latencies, 0.50),
+        "p90": percentile(latencies, 0.90),
+        "p99": percentile(latencies, 0.99),
         "max": latencies[-1] if latencies else 0.0,
     }
     return report

@@ -1,10 +1,12 @@
 """Incremental bottom-up solvers with per-subtree memoization.
 
 Both NoD solvers in this repository are bottom-up folds: each node's
-contribution is a pure function of its own data and what its children
-hand up (DP threshold rows for ``multiple-nod-dp``, entry bundles for
-``single-nod``).  That makes them incrementally recomputable: cache the
-per-node fold results, find the positions whose demand or failed flag
+result is a pure function of its own data and what its children hand
+up (DP threshold rows for ``multiple-nod-dp``, entry exports for
+``single-nod``).  Each solver's module defines that per-node step once,
+as ``fold`` over post positions, and its cold solve folds every
+position.  The backends here run the same ``fold``: they cache the
+per-position results, find the positions whose demand or failed flag
 changed since the last fold (:func:`_changes`), and re-fold only those
 positions and their root paths, while every untouched sibling subtree
 is reused verbatim.
@@ -28,8 +30,8 @@ Around the re-fold, each backend keeps its placement state per node
 and updates only the dirty part:
 
 * :class:`IncrementalSingleNod` keeps the placement's site multiset and
-  ``(client, site) -> amount`` map, retracts a dirty node's old
-  contribution before its re-fold and adds the new one after;
+  ``(client, site) -> amount`` map, retracts the dirty nodes' old
+  contributions before their re-fold and adds the new ones after;
 * :class:`IncrementalNodDP` keeps a
   :class:`~repro.algorithms.multiple_nod_dp.Reconstruction` — per
   position the forwarded amount, the replica decision and the routing —
@@ -48,13 +50,13 @@ Two backends:
   the optimality framework: a failed leaf must forward its demand, a
   failed internal node loses its absorb branch.  Still exact among
   placements avoiding the failed hosts.
-* :class:`IncrementalSingleNod` — the paper's Algorithm 2 re-expressed
-  as a fold over per-subtree *exports* (the aggregate entry or leftover
-  entries a subtree pushes to its parent).  Greedy tie-breaking is
-  reproduced exactly, including the original's reversed-children inbox
-  order.  Forbidden hosts are **not** expressible in the greedy's
-  replica-site choices; :class:`IncrementalUnsupported` is raised and
-  the engine falls back (see :mod:`repro.dynamic.engine`).
+* :class:`IncrementalSingleNod` — the paper's Algorithm 2, through
+  :func:`repro.algorithms.single_nod.fold`: per position, the
+  *export* (the aggregate entry or leftover entries a subtree pushes to
+  its parent) and the replicas opened there.  Forbidden hosts are
+  **not** expressible in the greedy's replica-site choices;
+  :class:`IncrementalUnsupported` is raised and the engine falls back
+  (see :mod:`repro.dynamic.engine`).
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..algorithms.multiple_nod_dp import NodeFold, Reconstruction, fold, place
+from ..algorithms.single_nod import Contribution, Export, add
+from ..algorithms.single_nod import fold as single_fold
 from ..core.arrays import DENSE_FRACTION, FlatTree, flat_tree
 from ..core.errors import InfeasibleInstanceError, PolicyError, ReproError
 from ..core.instance import ProblemInstance
-from ..core.kernels import prefix_fit, stable_argsort
 from ..core.placement import Placement
 from ..core.policies import Policy
 
@@ -234,39 +237,28 @@ class IncrementalNodDP:
         return placement, IncrementalStats(n, n - len(dirty), len(dirty))
 
 
-# ----------------------------------------------------------------------
-# Single-NoD: Algorithm 2 as a fold over per-subtree exports.
-# ----------------------------------------------------------------------
-
-#: An entry: a pending group of whole clients rooted at ``node``.
-#: ``bundle`` is a tuple of ``(client, amount)`` pairs; demand ≤ W.
-_Entry = Tuple[int, int, Tuple[Tuple[int, int], ...]]
-#: What subtree(v) pushes to parent(v): one aggregate entry, leftover
-#: entries from a packing at v, or nothing.
-_Export = Optional[Tuple[str, tuple]]
-#: Replicas opened while processing a node: ((site, bundle), ...).
-_Contribution = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
-
-
 class IncrementalSingleNod:
     """Memoized Algorithm 2 (``single-nod``) for Single-NoD.
 
-    Every node's processing is a pure function of its children's
-    exports, so per-subtree results memoize exactly like the DP.  The
-    original's tie-breaking is reproduced bit-for-bit: leftover entries
-    arrive in reversed-children order (the from-scratch postorder inbox
-    order), aggregates in children order, and the packing sort is
-    stable — so incremental and from-scratch runs return *identical*
-    placements, not merely equal costs.
+    The per-position caches hold each node's export and contribution
+    from :func:`repro.algorithms.single_nod.fold`, the fold a cold
+    :func:`~repro.algorithms.single_nod.single_nod` runs over every
+    position.  ``solve`` may be called repeatedly with mutated
+    instances: it re-folds only the nodes whose demand changed since the
+    last solve, and their root paths, and moves only their
+    contributions in and out of the placement maps — so incremental and
+    from-scratch runs return *identical* placements, not merely equal
+    costs.
     """
 
     name = "single-nod"
     policy = Policy.SINGLE
 
     def __init__(self) -> None:
-        # Original node id -> (export, contribution), valid for
+        # One export and one contribution per post position, valid for
         # ``_last``'s inputs.
-        self._memo: List[Optional[Tuple[_Export, _Contribution]]] = []
+        self._exports: List[Export] = []
+        self._contributions: List[Contribution] = []
         self._last: Optional[_FoldInputs] = None
         # The placement of those contributions: replica site -> number
         # of contributions opening it, (client, site) -> amount.
@@ -330,153 +322,49 @@ class IncrementalSingleNod:
                 f"a client demands {tree.max_request} > W={W}; "
                 "no Single placement exists"
             )
-        # The memo and the placement maps are rewritten in place: clear
-        # the record first, so an exception mid-fold makes the next
-        # solve rebuild everything.
+        # The caches and the placement maps are rewritten in place:
+        # clear the record first, so an exception mid-fold makes the
+        # next solve rebuild everything.
         whole = self._last is None or len(dirty) > DENSE_FRACTION * n
         self._last = None
-        if len(self._memo) != n:
-            self._memo = [None] * n
-        memo = self._memo
-        post_to_orig = ft.post_to_orig
-        process = self._process
+        if len(self._exports) != n:
+            self._exports = [None] * n
+            self._contributions = [()] * n
+        exports, contributions = self._exports, self._contributions
         if whole:
-            for p in dirty:
-                memo[post_to_orig[p]] = process(ft, W, p)
-            self._sites, self._amounts = {}, {}
-            for entry in memo:
-                _add(self._sites, self._amounts, entry[1])
+            single_fold(ft, W, exports, contributions, dirty)
+            self._sites, self._amounts = sites, amounts = {}, {}
+            add(sites, amounts, contributions)
         else:
             sites, amounts = self._sites, self._amounts
-            for p in dirty:
-                j = post_to_orig[p]
-                _retract(sites, amounts, memo[j][1])
-                memo[j] = entry = process(ft, W, p)
-                _add(sites, amounts, entry[1])
+            _retract(sites, amounts, [contributions[p] for p in dirty])
+            single_fold(ft, W, exports, contributions, dirty)
+            add(sites, amounts, [contributions[p] for p in dirty])
         self._last = (ft, W, failed)
 
         stats = IncrementalStats(n, n - len(dirty), len(dirty))
-        placement = Placement._trusted(frozenset(self._sites), dict(self._amounts))
+        placement = Placement._trusted(frozenset(sites), dict(amounts))
         return placement, stats
-
-    # ------------------------------------------------------------------
-    def _process(self, ft, W: int, p: int) -> Tuple[_Export, _Contribution]:
-        """Fold one node given its children's memoized exports.
-
-        Parameters
-        ----------
-        ft:
-            The instance tree's :class:`~repro.core.arrays.FlatTree`;
-            the fold walks its ``first_child`` / ``next_sibling``
-            chains and ``demand`` array instead of the object graph.
-        W:
-            Server capacity.
-        p:
-            Post position of the node to fold (exports and
-            contributions still carry *original* node ids — the memo
-            key space).
-
-        Returns
-        -------
-        ``(export, contribution)`` — what ``subtree(p)`` pushes to its
-        parent, and the replicas opened while processing ``p``;
-        bit-identical to the from-scratch Algorithm 2.
-        """
-        post_to_orig = ft.post_to_orig
-        j = post_to_orig[p]
-        is_root = p == ft.root
-        if ft.first_child[p] < 0:
-            r = ft.demand[p]
-            if is_root:
-                return None, (((j, ((j, r),)),) if r > 0 else ())
-            if r == 0:
-                return None, ()
-            return ("agg", ((j, r, ((j, r),)),)), ()
-
-        # Reproduce the from-scratch entry order: the postorder inbox
-        # collects leftovers child-by-child in *reversed* children order,
-        # then aggregates append in children order.
-        entries: List[_Entry] = []
-        children: List[int] = []
-        c = ft.first_child[p]
-        while c >= 0:
-            children.append(post_to_orig[c])
-            c = ft.next_sibling[c]
-        for c in reversed(children):
-            export = self._memo[c][0]
-            if export is not None and export[0] == "left":
-                entries.extend(export[1])
-        for c in children:
-            export = self._memo[c][0]
-            if export is not None and export[0] == "agg":
-                entries.extend(export[1])
-
-        total = sum(e[1] for e in entries)
-        if total > W:
-            # Stable smallest-first packing, as in Algorithm 2 — the
-            # shared kernel helpers keep every tie-break identical.
-            order = stable_argsort([e[1] for e in entries])
-            entries = [entries[i] for i in order]
-            k = prefix_fit([e[1] for e in entries], W)
-            assert k < len(entries)  # total > W and demands ≤ W
-            overflow = entries[k]
-            contribution: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = [
-                (j, _merge_bundles(entries[:k])),
-                (overflow[0], overflow[2]),
-            ]
-            leftovers = tuple(entries[k + 1 :])
-            if not is_root:
-                return ("left", leftovers), tuple(contribution)
-            # Paper's R3: at the root, each leftover opens its own replica.
-            contribution.extend((e[0], e[2]) for e in leftovers)
-            return None, tuple(contribution)
-
-        if total == 0:
-            return None, ()
-        merged = (j, total, _merge_bundles(entries))
-        if is_root:
-            return None, ((j, merged[2]),)
-        return ("agg", (merged,)), ()
-
-
-def _add(
-    sites: Dict[int, int],
-    amounts: Dict[Tuple[int, int], int],
-    contribution: _Contribution,
-) -> None:
-    """Add a node's replicas to the placement maps."""
-    for site, bundle in contribution:
-        sites[site] = sites.get(site, 0) + 1
-        for client, amount in bundle:
-            key = (client, site)
-            amounts[key] = amounts.get(key, 0) + amount
 
 
 def _retract(
     sites: Dict[int, int],
     amounts: Dict[Tuple[int, int], int],
-    contribution: _Contribution,
+    contributions: List[Contribution],
 ) -> None:
-    """Take a node's replicas back out of the placement maps."""
-    for site, bundle in contribution:
-        left = sites[site] - 1
-        if left:
-            sites[site] = left
-        else:
-            del sites[site]
-        for client, amount in bundle:
-            key = (client, site)
-            left = amounts[key] - amount
+    """Take the replicas of ``contributions`` back out of the placement
+    maps (the inverse of :func:`~repro.algorithms.single_nod.add`)."""
+    for contribution in contributions:
+        for site, bundle in contribution:
+            left = sites[site] - 1
             if left:
-                amounts[key] = left
+                sites[site] = left
             else:
-                del amounts[key]
-
-
-def _merge_bundles(
-    entries: Sequence[_Entry],
-) -> Tuple[Tuple[int, int], ...]:
-    out: List[Tuple[int, int]] = []
-    for _node, _demand, bundle in entries:
-        out.extend(bundle)
-    return tuple(out)
+                del sites[site]
+            for client, amount in bundle:
+                key = (client, site)
+                left = amounts[key] - amount
+                if left:
+                    amounts[key] = left
+                else:
+                    del amounts[key]

@@ -125,10 +125,27 @@ _STATUS_TO_CODE = {
 }
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already sorted, non-empty list."""
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an already sorted list; 0.0 if empty."""
+    if not sorted_values:
+        return 0.0
     idx = min(len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1))))
     return sorted_values[idx]
+
+
+def _recovered(wire: dict) -> SolveResponse:
+    """A cache entry read back from a snapshot or a ``cache-put`` record.
+
+    The stored placement is the canonical text this service wrote
+    (:func:`~repro.instances.io.placement_json`), decoded; encoding the
+    decoded value again gives that text byte for byte, without walking
+    the placement.  The placement keeps it, so a hit or a snapshot
+    splices it in as it does a live entry's.
+    """
+    response = SolveResponse.from_wire(wire)
+    if response.placement is not None:
+        response.placement._wire = canonical_json(wire["placement"])
+    return response
 
 
 def _instance_key(engine: "DynamicPlacement") -> str:
@@ -847,8 +864,7 @@ class PlacementService:
                     strict=False,
                 )
             for entry in list(state.get("cache", [])):
-                response = SolveResponse.from_wire(entry["response"])
-                self._cache.put(str(entry["key"]), response)
+                self._cache.put(str(entry["key"]), _recovered(entry["response"]))
                 if entry.get("instance_fp"):
                     self._index_key(str(entry["instance_fp"]), str(entry["key"]))
         except RecoveryError:
@@ -863,7 +879,7 @@ class PlacementService:
         from ..dynamic import DynamicPlacement, event_from_wire
 
         if isinstance(record, CachePut):
-            self._cache.put(record.key, SolveResponse.from_wire(record.response))
+            self._cache.put(record.key, _recovered(record.response))
             if record.instance_fp:
                 self._index_key(record.instance_fp, record.key)
         elif isinstance(record, CacheRemove):
@@ -959,8 +975,8 @@ class PlacementService:
             by_status=by_status,
             cache=self._cache.stats(),
             latency_ms_mean=(sum(lat) / len(lat)) if lat else 0.0,
-            latency_ms_p50=_percentile(lat, 0.50) if lat else 0.0,
-            latency_ms_p95=_percentile(lat, 0.95) if lat else 0.0,
+            latency_ms_p50=percentile(lat, 0.50),
+            latency_ms_p95=percentile(lat, 0.95),
             latency_ms_max=lat[-1] if lat else 0.0,
             uptime_s=uptime,
             durability=store.status() if store is not None else None,

@@ -44,7 +44,7 @@ from .snapshot import (
     load_latest_snapshot,
     write_snapshot,
 )
-from .wal import RecoveryError, WriteAheadLog, scan_wal
+from .wal import RecoveryError, WriteAheadLog
 
 __all__ = ["DurabilityStats", "RecoveredState", "StateStore"]
 
@@ -167,7 +167,7 @@ class StateStore:
             snap = load_latest_snapshot(self.data_dir)
             snap_seq, snap_state = (snap if snap is not None else (0, None))
 
-            scan = scan_wal(self._wal.path)
+            scan = self._wal.scan()
             if scan.torn_tail:
                 self._torn_tail_recovered = True
                 scan = self._wal.truncate_to_valid(scan)

@@ -31,7 +31,9 @@ Reading (:func:`scan_wal`) distinguishes *torn tails* from *corruption*:
 Compaction (:meth:`WriteAheadLog.compact`) atomically rewrites the file
 keeping only frames newer than a snapshot's sequence number, via
 :func:`~repro.storage.fsutil.atomic_write_bytes` — a crash mid-compact
-leaves the old complete log.
+leaves the old complete log.  A handle that knows its last seq (from
+its appends or its recovery :meth:`~WriteAheadLog.scan`) writes the
+header-only log without reading the file when no frame survives.
 """
 
 from __future__ import annotations
@@ -191,6 +193,9 @@ class WriteAheadLog:
         self._fsync = fsync
         self._fh = None
         self._lock = threading.Lock()
+        # No frame in the file has a higher seq, once an append or
+        # :meth:`scan` through this handle has set it.
+        self._last_seq: Optional[int] = None
 
     # ------------------------------------------------------------------
     def _ensure_open(self):
@@ -211,11 +216,20 @@ class WriteAheadLog:
         """Durably append one frame; returns once it is on disk."""
         frame = _FRAME.pack(len(payload), _crc(seq, payload), seq) + payload
         with self._lock:
+            self._last_seq = seq
             fh = self._ensure_open()
             fh.write(frame)
             fh.flush()
             if self._fsync:
                 os.fsync(fh.fileno())
+
+    def scan(self) -> WalScan:
+        """:func:`scan_wal` of this log; notes its last seq for
+        :meth:`compact`."""
+        with self._lock:
+            scan = scan_wal(self.path)
+            self._last_seq = scan.last_seq
+            return scan
 
     def truncate_to_valid(self, scan: Optional[WalScan] = None) -> WalScan:
         """Cut a torn tail off the file so future appends start clean.
@@ -247,12 +261,17 @@ class WriteAheadLog:
         Returns the number of frames kept.  The log is rewritten through
         an fsynced temp file + rename, so a crash mid-compact leaves the
         previous complete log (recovery then simply skips the stale
-        frames against the snapshot's sequence number).
+        frames against the snapshot's sequence number).  When no frame
+        this handle appended or scanned is newer than ``keep_after_seq``,
+        nothing survives and the log is not read.
         """
         with self._lock:
             self._close_locked()
-            scan = scan_wal(self.path)
-            kept = [(s, p) for (s, p) in scan.records if s > keep_after_seq]
+            if self._last_seq is not None and self._last_seq <= keep_after_seq:
+                kept: List[Tuple[int, bytes]] = []
+            else:
+                scan = scan_wal(self.path)
+                kept = [(s, p) for (s, p) in scan.records if s > keep_after_seq]
             out = bytearray(_FILE_HEADER)
             for seq, payload in kept:
                 out += _FRAME.pack(len(payload), _crc(seq, payload), seq)

@@ -17,7 +17,7 @@ Two layers of guarantees:
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Policy, Tree, TreeBuilder
@@ -31,6 +31,7 @@ from repro.algorithms.reference import (
 from repro.algorithms.single_nod import single_nod
 from repro.core.arrays import flat_cache_stats, flat_tree
 from repro.core.kernels import absorb
+from repro.instances import random_tree
 from tests.conftest import tree_instances
 from tests.test_kernel_conformance import (
     check_absorb,
@@ -191,8 +192,15 @@ def test_absorb_step_forbidden_host_truncates_pool():
 # ----------------------------------------------------------------------
 # Flat-path solvers are bit-identical to the object-graph references
 # ----------------------------------------------------------------------
+#: Two children both hand leftovers up to one node here, so the inbox
+#: order of leftovers decides the packing; the random strategy rarely
+#: draws such a tree.
+LEFTOVER_ORDER = random_tree(4, 8, capacity=6, dmax=None, max_arity=3, seed=18)
+
+
 @settings(**COMMON)
 @given(tree_instances(with_dmax=False))
+@example(LEFTOVER_ORDER)
 def test_single_nod_matches_reference(inst):
     assert single_nod(inst) == single_nod_reference(inst)
 

@@ -11,11 +11,12 @@ measured speedup.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Policy, ProblemInstance, TreeBuilder
 from repro.algorithms.multiple_nod_dp import multiple_nod_dp
+from repro.algorithms.reference import single_nod_reference
 from repro.algorithms.single_nod import single_nod
 from repro.core.errors import InvalidInstanceError
 from repro.core.instance import instance_fingerprint
@@ -36,6 +37,7 @@ from repro.dynamic import (
 )
 from repro.instances import random_tree
 from tests.conftest import tree_instances
+from tests.test_arrays import LEFTOVER_ORDER
 
 
 # ----------------------------------------------------------------------
@@ -159,9 +161,12 @@ class TestFingerprints:
 class TestIncrementalEqualsScratch:
     @settings(max_examples=40, deadline=None)
     @given(inst=tree_instances(with_dmax=False))
+    @example(inst=LEFTOVER_ORDER)
     def test_single_nod_identical_placements(self, inst):
         warm, stats = IncrementalSingleNod().solve(inst)
         assert warm == single_nod(inst)
+        # The oracle shares no code with the fold both of them run.
+        assert warm == single_nod_reference(inst)
         assert stats.nodes_recomputed == len(inst.tree)
 
     @settings(max_examples=30, deadline=None)
@@ -442,6 +447,7 @@ class TestMeshScaleParity:
             emitted.append((placement, placement.replicas, placement.assignments))
             if policy is Policy.SINGLE:
                 assert outcome.placement == single_nod(now)
+                assert outcome.placement == single_nod_reference(now)
             elif not failed:
                 assert outcome.placement == multiple_nod_dp(now)
             else:

@@ -414,3 +414,18 @@ class TestStats:
         assert sg["in_auto_chain"] is True
         ex = next(s for s in info if s["name"] == "exact")
         assert ex["in_auto_chain"] is False and ex["exact"] is True
+
+    def test_one_nearest_rank_percentile_serves_every_report(self):
+        from repro.analysis import replay as replay_report
+        from repro.cluster import loadtest
+        from repro.service.facade import percentile
+
+        assert loadtest.percentile is percentile
+        assert replay_report.percentile is percentile
+        # Nearest rank, index round(q * (n - 1)): never interpolated.
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert [percentile(values, q) for q in (0.0, 0.5, 0.9, 1.0)] == [
+            1.0, 3.0, 4.0, 4.0,
+        ]
+        assert percentile([7.0], 0.99) == 7.0
+        assert percentile([], 0.5) == 0.0

@@ -372,20 +372,33 @@ class TestEncodeOnce:
         data_dir = str(tmp_path)
         instances = [isp_mesh(20 + k, capacity=150, seed=k) for k in range(4)]
         with PlacementService(store=StateStore(data_dir, snapshot_interval=0)) as live:
-            for instance in instances:
+            for instance in instances[:3]:
                 assert live.solve(SolveRequest(instance=instance)).ok
-            assert len(encodes) == len(instances)  # one per CachePut
+            assert len(encodes) == 3  # one per CachePut
             encodes.clear()
             live.persist_now()
             live.persist_now()
             assert encodes == []
+            # Logged after the snapshot, so recovered from their records.
+            assert live.solve(SolveRequest(instance=instances[3])).ok
+            assert live.solve(SolveRequest(instance=SHORT)).status == "infeasible"
+        encodes.clear()
         with PlacementService(store=StateStore(data_dir, snapshot_interval=0)) as restarted:
-            restarted.solve_wire(body_of(instances[0]))  # a hit encodes it
-            assert len(encodes) == 1
-            restarted.persist_now()
-            assert len(encodes) == len(instances)
-            restarted.persist_now()
-            assert len(encodes) == len(instances)
+            assert restarted.stats().durability.records_replayed == 2
+            # Recovered entries keep the text their snapshot or record
+            # holds: a hit and the next snapshot walk no placement, and
+            # the snapshot is the per-call encoders' bytes.
+            assert restarted.solve_wire(body_of(instances[0]))[0] == 200
+            seq = restarted.persist_now()
+            assert encodes == []
+            want = json.dumps(
+                {"schema": 1, "seq": seq, "state": _state_dict_per_call(restarted)},
+                sort_keys=True,
+                separators=(",", ":"),
+            ).encode("utf-8")
+        [(_seq, path)] = list_snapshots(data_dir)
+        with open(path, "rb") as fh:
+            assert fh.read() == want
 
 
 # -- byte formats -------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.storage import wal as wal_module
 from repro.storage import (
     CachePut,
     CacheRemove,
@@ -224,6 +225,33 @@ class TestSnapshotDiscipline:
         again = StateStore(d)
         recovered = again.recover()
         assert recovered.snapshot == {"upto": 3} and recovered.records == []
+        again.close()
+
+    def test_snapshot_at_the_last_seq_compacts_without_reading_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        d = str(tmp_path / "d")
+        store = StateStore(d, snapshot_interval=0)
+        store.recover()
+        store.note_applied(store.append(_put(1)))
+        scans = []
+        scan = wal_module.scan_wal
+        monkeypatch.setattr(
+            wal_module, "scan_wal", lambda path: scans.append(path) or scan(path)
+        )
+        assert store.snapshot_now(lambda: {"upto": 1}) == 1
+        assert scans == []
+        # Appended but not yet applied: past the watermark, so kept.
+        store.note_applied(store.append(_put(2)))
+        pending = store.append(_put(3))
+        monkeypatch.undo()
+        assert store.snapshot_now(lambda: {"upto": 2}) == 2
+        store.close()
+
+        again = StateStore(d)
+        recovered = again.recover()
+        assert recovered.snapshot == {"upto": 2}
+        assert [seq for seq, _ in recovered.records] == [pending]
         again.close()
 
     def test_status_counters(self, tmp_path):

@@ -21,6 +21,7 @@ from repro.storage import (
     durable_append_line,
     scan_wal,
 )
+from repro.storage import wal as wal_module
 from repro.storage.wal import _FILE_HEADER, _FRAME
 
 
@@ -202,6 +203,56 @@ class TestCompaction:
         wal.append(2, b"after")
         wal.close()
         assert scan_wal(path).records == [(2, b"after")]
+
+    @staticmethod
+    def _count_scans(monkeypatch) -> list:
+        calls = []
+        scan = wal_module.scan_wal
+
+        def counting(path):
+            calls.append(path)
+            return scan(path)
+
+        monkeypatch.setattr(wal_module, "scan_wal", counting)
+        return calls
+
+    def test_nothing_surviving_skips_the_scan(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "wal.log")
+        scans = self._count_scans(monkeypatch)
+        with WriteAheadLog(path) as wal:
+            for seq in (1, 2, 3):
+                wal.append(seq, b"x" * 64)
+            assert wal.compact(3) == 0
+            assert scans == []
+            wal.append(4, b"after")
+        with open(path, "rb") as fh:
+            assert fh.read(len(_FILE_HEADER)) == _FILE_HEADER
+        assert [s for s, _ in scan_wal(path).records] == [4]
+        # A handle that only scanned the log knows its last seq too.
+        with WriteAheadLog(path) as wal:
+            assert [s for s, _ in wal.scan().records] == [4]
+            del scans[:]
+            assert wal.compact(4) == 0
+            assert scans == []
+        assert os.path.getsize(path) == len(_FILE_HEADER)
+
+    def test_a_frame_after_the_watermark_survives(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "wal.log")
+        scans = self._count_scans(monkeypatch)
+        with WriteAheadLog(path) as wal:
+            for seq in (1, 2, 3):
+                wal.append(seq, f"row{seq}".encode())
+            assert wal.compact(2) == 1
+            assert len(scans) == 1
+        assert scan_wal(path).records == [(3, b"row3")]
+
+    def test_an_unknown_last_seq_scans(self, tmp_path, monkeypatch):
+        path = _wal(tmp_path, [(1, b"a"), (2, b"b")])
+        scans = self._count_scans(monkeypatch)
+        with WriteAheadLog(path) as wal:
+            assert wal.compact(1) == 1
+        assert scans == [path]
+        assert scan_wal(path).records == [(2, b"b")]
 
 
 class TestFsutil:
