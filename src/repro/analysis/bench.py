@@ -12,13 +12,17 @@ continent-scale routing systems in PAPERS.md apply to their solvers.
 
 Hardware normalisation
 ----------------------
-Absolute wall times are machine-dependent, so every snapshot embeds a
-``calibration_s`` measurement — a fixed pure-Python workload timed on
-the same interpreter just before the corpus runs.  Cross-snapshot
+Absolute wall times are machine-dependent, so every entry embeds a
+``calibration_s``: the best time of a fixed pure-Python workload,
+sampled once beside each of the entry's timing samples.  The snapshot
+embeds one more, taken before and after the corpus; comparison falls
+back to it for entries recorded without their own.  Cross-snapshot
 comparison uses **calibration-normalised** times: a solver regresses
-only if its time grew relative to how fast the machine runs plain
-Python, which makes the committed CI baseline meaningful on runners
-with different clock speeds.
+only if its time grew relative to how fast the machine ran plain
+Python *while that entry was timed*.  A CI runner with another clock
+speed, or a host slowdown in the middle of a run, moves the entry's
+calibration with it (though a slow spell on a shared host slows the
+memory-bound mesh entries more than the integer loop).
 
 The flagship corpus entry is a 220-node Multiple-NoD tree on which the
 flat-path ``multiple-nod-dp`` must hold a healthy speedup over the
@@ -38,7 +42,8 @@ many back-to-back calls as fill :data:`SAMPLE_S` (after one untimed
 warm-up call, with the garbage collector paused); ``wall_s`` is the
 sample's time per call.  A ~1 ms scheduler hiccup then spreads over
 the sample's calls instead of landing on the one timed call of a
-sub-millisecond entry.
+sub-millisecond entry.  The entry's ``calibration_s`` is the best of
+the calibration samples taken just before each timing sample.
 """
 
 from __future__ import annotations
@@ -174,45 +179,43 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
     return corpus
 
 
-def _calibrate() -> float:
-    """Time a fixed pure-Python workload (machine-speed yardstick).
+def _calibration_sample() -> float:
+    """Seconds for one pass of a fixed pure-Python workload.
 
-    Returns
-    -------
-    float
-        Best-of-3 seconds for a pinned integer loop.  Snapshot
-        comparisons divide solver times by this, so a slower CI runner
-        does not read as a solver regression.
+    The machine-speed yardstick: snapshot comparisons divide solver
+    times by the best of such samples, so a slower CI runner does not
+    read as a solver regression.
     """
-    def work() -> int:
-        acc = 0
-        for i in range(200_000):
-            acc += i * i % 7
-        return acc
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(200_000):
+        acc += i * i % 7
+    return time.perf_counter() - t0
 
-    best = math.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        work()
-        best = min(best, time.perf_counter() - t0)
-    return best
+
+def _calibrate() -> float:
+    """Best-of-3 :func:`_calibration_sample` seconds."""
+    return min(_calibration_sample() for _ in range(3))
 
 
 def _time_best(
     fn: Callable[[], object], repeats: int
-) -> Tuple[float, object, int]:
-    """``(seconds per call, first result, calls per sample)``.
+) -> Tuple[float, object, int, float]:
+    """``(seconds per call, first result, calls per sample, calibration)``.
 
     One untimed warm-up call sizes the sample: enough calls to fill
     :data:`SAMPLE_S`.  The time is the best of ``repeats`` samples,
-    each run with the garbage collector paused, as :mod:`timeit` does.
+    each run with the garbage collector paused, as :mod:`timeit` does;
+    the calibration is the best of the :func:`_calibration_sample`
+    taken just before each of them.
     """
     t0 = time.perf_counter()
     result = fn()
     first = time.perf_counter() - t0
     calls = max(1, min(1000, math.ceil(SAMPLE_S / first))) if first > 0 else 1000
-    best = math.inf
+    best = calibration = math.inf
     for _ in range(max(1, repeats)):
+        calibration = min(calibration, _calibration_sample())
         gc.collect()
         gc.disable()
         try:
@@ -224,7 +227,7 @@ def _time_best(
             gc.enable()
         if elapsed < best:
             best = elapsed
-    return best, result, calls
+    return best, result, calls, calibration
 
 
 def _tick(instance: ProblemInstance) -> Callable[[], object]:
@@ -298,8 +301,9 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
     -------
     dict
         The snapshot: per-solver ``entries`` (wall time per call, calls
-        per sample, node throughput), flat-vs-reference ``comparisons`` (speedup +
-        bit-identity), FlatTree ``flat_cache`` counter deltas, the
+        per sample, node throughput, the entry's own ``calibration_s``),
+        flat-vs-reference ``comparisons`` (speedup + bit-identity),
+        FlatTree ``flat_cache`` counter deltas, the run's
         ``calibration_s`` yardstick and environment metadata.  Pass it
         to :func:`write_snapshot` / :func:`compare_snapshots`.
     """
@@ -323,7 +327,7 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                     fn = _service_hit(inst)
                 else:
                     fn = partial(get_solver(solver).fn, inst)
-                wall, result, calls = _time_best(fn, repeats)
+                wall, result, calls, calibration_s = _time_best(fn, repeats)
             except Exception as exc:  # noqa: BLE001 — recorded, not raised
                 entries.append({
                     "instance": name, "solver": solver, "n_nodes": n_nodes,
@@ -336,6 +340,7 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                 "n_nodes": n_nodes,
                 "status": "ok",
                 "wall_s": wall,
+                "calibration_s": calibration_s,
                 "repeats": repeats,
                 "calls": calls,
                 "throughput_nps": n_nodes / wall if wall > 0 else None,
@@ -343,7 +348,7 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
             })
             ref = _reference_fn(solver)
             if ref is not None:
-                ref_wall, ref_placement, _calls = _time_best(
+                ref_wall, ref_placement, _calls, _cal = _time_best(
                     partial(ref, inst), repeats
                 )
                 comparisons.append({
@@ -491,9 +496,11 @@ def compare_snapshots(
 ) -> Tuple[List[str], List[str]]:
     """Compare two snapshots; report per-solver regressions.
 
-    Times are divided by each snapshot's ``calibration_s`` before
-    comparison, so baselines recorded on different hardware compare
-    meaningfully.
+    Each entry's time is divided by its own ``calibration_s`` — by its
+    snapshot's, for an entry recorded without one — before comparison,
+    so baselines recorded on different hardware compare meaningfully,
+    and a host slowdown while an entry was timed slows its yardstick
+    too.
 
     Parameters
     ----------
@@ -538,8 +545,8 @@ def compare_snapshots(
         if b is None:
             continue
         seen_ok.add(key)
-        norm_cur = e["wall_s"] / cal_cur
-        norm_base = b["wall_s"] / cal_base
+        norm_cur = e["wall_s"] / float(e.get("calibration_s") or cal_cur)
+        norm_base = b["wall_s"] / float(b.get("calibration_s") or cal_base)
         delta_pct = 100.0 * (norm_cur / norm_base - 1.0) if norm_base > 0 else 0.0
         line = (
             f"{e['instance']:<16} {e['solver']:<18} "

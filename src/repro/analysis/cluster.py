@@ -80,8 +80,7 @@ def render_worker_health(healthz: dict) -> str:
             f"cluster health: {healthz.get('status', '?')} — "
             f"{ring.get('workers_alive', '?')}/"
             f"{ring.get('workers_total', '?')} workers, "
-            f"{ring.get('vnodes', '?')} vnodes, "
-            f"{healthz.get('sessions', 0)} pinned session(s)"
+            f"{ring.get('vnodes', '?')} vnodes"
         ),
     ]
     workers = healthz.get("workers", [])

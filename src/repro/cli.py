@@ -1234,7 +1234,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "--attach is given")
     cl.add_argument("--attach", nargs="+", metavar="URL", default=None,
                     help="route across already-running repro serve daemons "
-                         "instead of spawning a managed fleet")
+                         "instead of spawning a managed fleet; the i-th URL "
+                         "is worker-<i>, so keep the order across restarts")
     cl.add_argument("--vnodes", type=_positive_int, default=16,
                     help="virtual nodes per worker on the hash ring")
     cl.add_argument("--probe-interval", type=float, default=1.0,

@@ -23,6 +23,7 @@ See ``docs/cluster.md`` for the failover contract, the loadtest metrics
 glossary and the ops runbook.
 """
 
+from ..service.httpjson import WORKER_HEADER
 from .daemon import run_cluster
 from .loadtest import (
     MIXES,
@@ -33,13 +34,7 @@ from .loadtest import (
     run_loadtest,
 )
 from .ring import DEFAULT_VNODES, HashRing, ring_point
-from .router import (
-    WORKER_HEADER,
-    ClusterState,
-    RouterServer,
-    WorkerView,
-    make_router,
-)
+from .router import ClusterState, RouterServer, WorkerView, make_router
 from .workers import ClusterManager, WorkerProcess, WorkerSpawnError
 
 __all__ = [

@@ -31,8 +31,8 @@ from typing import Dict, List
 from ..instances import make_instance
 from ..service.facade import percentile
 from ..service.fingerprint import instance_fingerprint
+from ..service.httpjson import WORKER_HEADER
 from ..service.schema import SolveRequest
-from .router import WORKER_HEADER
 
 __all__ = [
     "MIXES",

@@ -13,28 +13,31 @@ routing
     through a consistent-hash ring (:mod:`repro.cluster.ring`), so
     identical instances always land on the same worker and its result
     cache.  A body whose columns do not pack goes to one fixed worker,
-    which validates it and answers the 400.  ``/v1/dynamic/apply`` and
-    ``/v1/dynamic/close`` follow the *session*: the router remembers
-    which worker opened each session id and pins the session's traffic
-    there (sessions are stateful; they must not wander).
+    which validates it and answers the 400.  Every forward names its
+    worker in the ``X-Repro-Worker`` header, and a worker mints the
+    session ids it opens as ``dyn-<hex>@<its node id>``, so
+    ``/v1/dynamic/apply`` and ``/v1/dynamic/close`` go to the worker
+    the id names.  The router keeps no per-session state: a restarted
+    router routes every session the workers still hold.
 
 failover
     A worker that refuses connections, times out or answers 5xx is
     retried against the next ring successor with bounded exponential
-    backoff (``backoff_base * 2^attempt``, capped).  Safe for
-    ``/v1/solve`` because solving is deterministic and idempotent;
-    session traffic is only ever retried against its own worker.
-    4xx responses are the *caller's* fault and are relayed verbatim,
-    never retried.
+    backoff (``backoff_base * 2^attempt``, capped), for
+    :data:`RETRY_ROUNDS` passes.  Safe for ``/v1/solve`` because solving
+    is deterministic and idempotent; session traffic runs the same loop
+    over its one owner, so it never moves to another worker.  4xx
+    responses are the *caller's* fault and are relayed verbatim, never
+    retried.
 
 health
     A background prober hits every worker's ``/v1/healthz`` each
     ``probe_interval`` seconds.  ``down_after`` consecutive failures
     (probe or forward) eject the worker from the ring — its keys remap
     minimally to the ring successors — and a succeeding probe re-adds
-    it.  A restarted worker recovers its own result cache from its
-    write-ahead log and gets its ring arcs back, so the keys it served
-    before a crash are warm again on rejoin.
+    it.  A restarted worker recovers its own result cache and sessions
+    from its write-ahead log and gets its ring arcs back, so the keys
+    it served before a crash are warm again on rejoin.
 
 observability
     The router's ``GET /v1/healthz`` reports per-worker ring ownership
@@ -50,18 +53,26 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..instances.io import instance_fingerprint_from_dict
-from ..service.httpjson import JSONHandler, JSONServer, error_body
+from ..service.httpjson import (
+    NODE_ID,
+    WORKER_HEADER,
+    JSONHandler,
+    JSONServer,
+    error_body,
+)
 from ..service.schema import WIRE_SCHEMA_VERSION, ErrorCode
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = ["ClusterState", "RouterServer", "make_router", "WorkerView"]
 
-#: Response header naming the worker that served a routed request —
-#: the load generator uses it for per-worker attribution.
-WORKER_HEADER = "X-Repro-Worker"
+#: Seconds one forward may take before it counts as a transport failure.
+FORWARD_TIMEOUT_S = 60.0
+
+#: Passes the failover loop makes over a request's workers.
+RETRY_ROUNDS = 2
 
 
 def _route_key(payload: object) -> str:
@@ -124,6 +135,11 @@ class ClusterState:
     ) -> None:
         if not workers:
             raise ValueError("a cluster needs at least one worker")
+        for node_id in workers:
+            if not NODE_ID.fullmatch(node_id):
+                raise ValueError(
+                    f"worker name {node_id!r} does not match {NODE_ID.pattern}"
+                )
         self._lock = threading.Lock()
         self.workers: Dict[str, WorkerView] = {
             node_id: WorkerView(node_id, url)
@@ -131,7 +147,6 @@ class ClusterState:
         }
         self.ring = HashRing(self.workers, vnodes=vnodes)
         self.down_after = max(1, down_after)
-        self.sessions: Dict[str, str] = {}  # session_id -> node_id
         self.started = time.monotonic()
 
     # -- routing -------------------------------------------------------
@@ -148,18 +163,10 @@ class ClusterState:
             dead = [w for n, w in sorted(self.workers.items()) if n not in order]
         return out + dead
 
-    def worker_for_session(self, session_id: str) -> Optional[WorkerView]:
-        with self._lock:
-            node_id = self.sessions.get(session_id)
-            return self.workers.get(node_id) if node_id is not None else None
-
-    def bind_session(self, session_id: str, node_id: str) -> None:
-        with self._lock:
-            self.sessions[session_id] = node_id
-
-    def release_session(self, session_id: str) -> None:
-        with self._lock:
-            self.sessions.pop(session_id, None)
+    def owner(self, session_id: str) -> Optional[WorkerView]:
+        """The worker a session id names after its ``@``, if any."""
+        _, at, node_id = session_id.rpartition("@")
+        return self.workers.get(node_id) if at else None
 
     def live_workers(self) -> List[WorkerView]:
         with self._lock:
@@ -180,10 +187,18 @@ class ClusterState:
                 return True
         return False
 
-    def note_success(self, worker: WorkerView) -> bool:
-        """Record one success; True if this re-admitted the worker."""
+    def note_success(self, worker: WorkerView, attempt: int = 0) -> bool:
+        """Record one success; True if this re-admitted the worker.
+
+        ``attempt`` numbers the forward that succeeded (1 for a first
+        try) and counts it as a request, and as a retry after the
+        first; a probe passes 0.
+        """
         with self._lock:
             worker.consecutive_failures = 0
+            if attempt:
+                worker.requests += 1
+                worker.retries += attempt > 1
             if not worker.alive:
                 worker.alive = True
                 self.ring.add(worker.node_id)
@@ -199,7 +214,6 @@ class ClusterState:
             ]
             n_alive = sum(1 for w in self.workers.values() if w.alive)
             n_total = len(self.workers)
-            sessions = len(self.sessions)
             uptime = time.monotonic() - self.started
         status = (
             "ok" if n_alive == n_total else "degraded" if n_alive else "down"
@@ -214,7 +228,6 @@ class ClusterState:
                 "workers_alive": n_alive,
                 "workers_total": n_total,
             },
-            "sessions": sessions,
             "uptime_s": uptime,
             "workers": views,
         }
@@ -266,18 +279,14 @@ class RouterServer(JSONServer):
         *,
         probe_interval: float = 1.0,
         probe_timeout: float = 5.0,
-        forward_timeout: float = 60.0,
         backoff_base: float = 0.05,
         backoff_cap: float = 0.5,
-        retry_rounds: int = 2,
         verbose: bool = False,
     ) -> None:
         super().__init__(address, _RouterHandler)
         self.state = state
-        self.forward_timeout = forward_timeout
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.retry_rounds = max(1, retry_rounds)
         self.verbose = verbose
         self.prober = _Prober(state, probe_interval, probe_timeout)
 
@@ -307,36 +316,41 @@ class _RouterHandler(JSONHandler):
         req = urllib.request.Request(
             worker.base_url + path,
             data=body,
-            headers={"Content-Type": "application/json"},
+            headers={
+                "Content-Type": "application/json",
+                WORKER_HEADER: worker.node_id,
+            },
             method="POST" if body is not None else "GET",
         )
         try:
-            with urllib.request.urlopen(
-                req, timeout=self.server.forward_timeout
-            ) as resp:
+            with urllib.request.urlopen(req, timeout=FORWARD_TIMEOUT_S) as resp:
                 return resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             # Worker answered: an HTTP status, not a transport failure.
             return exc.code, exc.read()
 
-    def _forward_failover(
-        self, key: str, path: str, body: Optional[bytes]
+    def _forward(
+        self,
+        workers: Callable[[], List[WorkerView]],
+        path: str,
+        body: Optional[bytes],
     ) -> Tuple[int, bytes, Optional[str]]:
-        """Forward with ring failover + bounded exponential backoff.
+        """Forward with failover + bounded exponential backoff.
 
-        Walks the key's successor list (live members first) for up to
-        ``retry_rounds`` rounds, sleeping ``backoff_base * 2^attempt``
-        (capped at ``backoff_cap``) between consecutive failures.  A
-        worker that answers — any status — ends the walk: HTTP-level
-        errors from a healthy worker are the upstream's verdict, 5xx
-        excepted, which triggers failover like a transport failure.
+        Walks ``workers()`` — a key's ring successors, or a session's
+        owner alone — for :data:`RETRY_ROUNDS` rounds, sleeping
+        ``backoff_base * 2^attempt`` (capped at ``backoff_cap``)
+        between consecutive failures.  A worker that answers — any
+        status — ends the walk: HTTP-level errors from a healthy worker
+        are the upstream's verdict, 5xx excepted, which triggers
+        failover like a transport failure.
         """
         server = self.server
         state = server.state
         attempt = 0
         last_error = "no workers configured"
-        for _round in range(server.retry_rounds):
-            for worker in state.successors(key):
+        for _round in range(RETRY_ROUNDS):
+            for worker in workers():
                 if attempt:
                     delay = min(
                         server.backoff_cap,
@@ -354,49 +368,13 @@ class _RouterHandler(JSONHandler):
                     last_error = f"{worker.node_id}: upstream HTTP {status}"
                     state.note_failure(worker)
                     continue
-                state.note_success(worker)
-                worker.requests += 1
-                if attempt > 1:
-                    worker.retries += 1
+                state.note_success(worker, attempt)
                 return status, payload, worker.node_id
         return (
             503,
             error_body(
                 ErrorCode.SOLVER_ERROR,
-                f"no worker available for key {key[:16]}… — "
-                f"last error: {last_error}",
-            ),
-            None,
-        )
-
-    def _forward_pinned(
-        self, worker: WorkerView, path: str, body: Optional[bytes]
-    ) -> Tuple[int, bytes, Optional[str]]:
-        """Forward to one specific worker (session traffic), with
-        bounded backoff retries against the *same* worker only."""
-        server = self.server
-        last_error = "unreachable"
-        for attempt in range(server.retry_rounds + 1):
-            if attempt:
-                time.sleep(min(
-                    server.backoff_cap, server.backoff_base * (2 ** (attempt - 1))
-                ))
-            try:
-                status, payload = self._forward_once(worker, path, body)
-            except Exception as exc:  # noqa: BLE001 - transport failure
-                last_error = f"{type(exc).__name__}: {exc}"
-                server.state.note_failure(worker)
-                continue
-            server.state.note_success(worker)
-            worker.requests += 1
-            if attempt:
-                worker.retries += 1
-            return status, payload, worker.node_id
-        return (
-            503,
-            error_body(
-                ErrorCode.SOLVER_ERROR,
-                f"session worker {worker.node_id} is unavailable — {last_error}",
+                f"no worker answered {path} — last error: {last_error}",
             ),
             None,
         )
@@ -409,7 +387,9 @@ class _RouterHandler(JSONHandler):
 
     def _get_solvers(self) -> None:
         # Registry introspection is identical on every worker.
-        self._relay(*self._forward_failover("solvers", "/v1/solvers", None))
+        self._relay(*self._forward(
+            lambda: self.server.state.successors("solvers"), "/v1/solvers", None
+        ))
 
     def _get_dynamic(self) -> None:
         """Fan out to every live worker and merge the session lists."""
@@ -430,23 +410,15 @@ class _RouterHandler(JSONHandler):
         )
 
     # -- POST routes ---------------------------------------------------
-    def _post_solve(self, payload: object, body: bytes) -> None:
-        self._relay(*self._forward_failover(_route_key(payload), "/v1/solve", body))
+    def _post_keyed(self, payload: object, body: bytes) -> None:
+        """``/v1/solve`` and ``/v1/dynamic/start``: by instance key."""
+        key = _route_key(payload)
+        self._relay(*self._forward(
+            lambda: self.server.state.successors(key), self.path, body
+        ))
 
-    def _post_dynamic_start(self, payload: object, body: bytes) -> None:
-        status, answer, node = self._forward_failover(
-            _route_key(payload), "/v1/dynamic/start", body
-        )
-        if status == 200 and node is not None:
-            try:
-                session_id = json.loads(answer).get("session_id")
-            except json.JSONDecodeError:  # pragma: no cover - worker bug
-                session_id = None
-            if isinstance(session_id, str):
-                self.server.state.bind_session(session_id, node)
-        self._relay(status, answer, node)
-
-    def _post_dynamic_pinned(self, payload: object, body: bytes) -> None:
+    def _post_session(self, payload: object, body: bytes) -> None:
+        """``/v1/dynamic/apply`` and ``/close``: to the id's owner."""
         session_id = (
             payload.get("session_id") if isinstance(payload, dict) else None
         )
@@ -455,16 +427,13 @@ class _RouterHandler(JSONHandler):
                 400, ErrorCode.BAD_REQUEST, "'session_id' must be a string"
             )
             return
-        worker = self.server.state.worker_for_session(session_id)
-        if worker is None:
+        owner = self.server.state.owner(session_id)
+        if owner is None:
             self._send_error_json(
                 404, ErrorCode.BAD_REQUEST, f"no such session: {session_id}"
             )
             return
-        status, answer, node = self._forward_pinned(worker, self.path, body)
-        if self.path == "/v1/dynamic/close" and status == 200:
-            self.server.state.release_session(session_id)
-        self._relay(status, answer, node)
+        self._relay(*self._forward(lambda: [owner], self.path, body))
 
     GET_ROUTES = {
         "/v1/healthz": _get_healthz,
@@ -472,10 +441,10 @@ class _RouterHandler(JSONHandler):
         "/v1/dynamic": _get_dynamic,
     }
     POST_ROUTES = {
-        "/v1/solve": _post_solve,
-        "/v1/dynamic/start": _post_dynamic_start,
-        "/v1/dynamic/apply": _post_dynamic_pinned,
-        "/v1/dynamic/close": _post_dynamic_pinned,
+        "/v1/solve": _post_keyed,
+        "/v1/dynamic/start": _post_keyed,
+        "/v1/dynamic/apply": _post_session,
+        "/v1/dynamic/close": _post_session,
     }
 
 
@@ -488,10 +457,8 @@ def make_router(
     down_after: int = 2,
     probe_interval: float = 1.0,
     probe_timeout: float = 5.0,
-    forward_timeout: float = 60.0,
     backoff_base: float = 0.05,
     backoff_cap: float = 0.5,
-    retry_rounds: int = 2,
     verbose: bool = False,
 ) -> RouterServer:
     """Build (but do not start) a router bound to ``host:port``.
@@ -508,9 +475,7 @@ def make_router(
         state,
         probe_interval=probe_interval,
         probe_timeout=probe_timeout,
-        forward_timeout=forward_timeout,
         backoff_base=backoff_base,
         backoff_cap=backoff_cap,
-        retry_rounds=retry_rounds,
         verbose=verbose,
     )

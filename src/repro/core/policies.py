@@ -27,10 +27,5 @@ class Policy(enum.Enum):
     SINGLE = "single"
     MULTIPLE = "multiple"
 
-    @property
-    def splits_allowed(self) -> bool:
-        """True iff a client's requests may be spread over several servers."""
-        return self is Policy.MULTIPLE
-
     def __str__(self) -> str:
         return self.value

@@ -60,10 +60,6 @@ class SweepOutcome:
     n_run: int = 0
     n_skipped: int = 0
 
-    @property
-    def all_results(self) -> List[SolveResult]:
-        return self.results
-
 
 class _Timeout(BaseException):
     """Internal: the SIGALRM fired before the solver returned.

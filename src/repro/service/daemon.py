@@ -30,7 +30,9 @@ Endpoints
 ``POST /v1/dynamic/start``
     Body: ``{"schema": 1, "instance": {...}, "solver": str|null}``.
     Opens an online re-placement session; returns ``{"session_id",
-    "solver", "n_replicas", "fingerprint"}``.
+    "solver", "n_replicas", "fingerprint"}``.  A cluster router names
+    the worker in an ``X-Repro-Worker`` header, and the session id ends
+    ``@<that name>``; a name outside ``[A-Za-z0-9_-]{1,64}`` is a 400.
 ``POST /v1/dynamic/apply``
     Body: ``{"schema": 1, "session_id": str, "events": [...]}`` with
     events in the :func:`~repro.dynamic.event_to_wire` shape.  Folds
@@ -66,7 +68,13 @@ from typing import List, Optional, Tuple
 from ..core.errors import ReproError
 from ..storage import StateStore
 from .facade import PlacementService, UnknownSessionError
-from .httpjson import JSONHandler, JSONServer, graceful_shutdown
+from .httpjson import (
+    NODE_ID,
+    WORKER_HEADER,
+    JSONHandler,
+    JSONServer,
+    graceful_shutdown,
+)
 from .schema import WIRE_SCHEMA_VERSION, ErrorCode
 
 __all__ = ["PlacementServer", "make_server", "serve"]
@@ -155,6 +163,14 @@ class _Handler(JSONHandler):
         payload = self._check_envelope(payload)
         if payload is None:
             return
+        owner = self.headers.get(WORKER_HEADER)
+        if owner is not None and not NODE_ID.fullmatch(owner):
+            self._send_error_json(
+                400,
+                ErrorCode.BAD_REQUEST,
+                f"{WORKER_HEADER} must match {NODE_ID.pattern}, got {owner!r}",
+            )
+            return
         solver = payload.get("solver")
         if solver is not None and not isinstance(solver, str):
             self._send_error_json(
@@ -177,7 +193,9 @@ class _Handler(JSONHandler):
             return
         service = self.server.service
         try:
-            session_id = service.start_dynamic(instance, solver=solver)
+            session_id = service.start_dynamic(
+                instance, solver=solver, owner=owner
+            )
         except ReproError as exc:
             # An unsolvable initial snapshot (or unknown solver) is the
             # caller's problem, reported structurally, not a 500.

@@ -71,7 +71,6 @@ from ..runner.result import Status
 from ..runner.registry import UnknownSolverError
 from ..storage import (
     CachePut,
-    CacheRemove,
     DurabilityStats,
     LogRecord,
     RecoveryError,
@@ -526,7 +525,11 @@ class PlacementService:
 
     # -- dynamic sessions (online re-placement) ------------------------
     def start_dynamic(
-        self, instance: ProblemInstance, solver: Optional[str] = None
+        self,
+        instance: ProblemInstance,
+        solver: Optional[str] = None,
+        *,
+        owner: Optional[str] = None,
     ) -> str:
         """Open an online re-placement session for ``instance``.
 
@@ -538,11 +541,17 @@ class PlacementService:
         solver:
             Forwarded to :class:`~repro.dynamic.DynamicPlacement` —
             ``None`` auto-selects the incremental backend.
+        owner:
+            The cluster node id of this service (a
+            :data:`~repro.service.httpjson.NODE_ID`), which the id
+            carries so a router can route the session from its id
+            alone; ``None`` outside a cluster.
 
         Returns
         -------
         The session id to pass to :meth:`apply_events` /
-        :meth:`dynamic_session`.
+        :meth:`dynamic_session`: ``dyn-<32 hex digits>``, followed by
+        ``@<owner>`` when an owner is given.
 
         Raises
         ------
@@ -558,6 +567,8 @@ class PlacementService:
         # router that fails a start over to another worker cannot
         # alias two sessions.
         session_id = f"dyn-{secrets.token_hex(16)}"
+        if owner is not None:
+            session_id += f"@{owner}"
         seq = self._log(
             SessionStart(
                 session_id=session_id,
@@ -882,9 +893,6 @@ class PlacementService:
             self._cache.put(record.key, _recovered(record.response))
             if record.instance_fp:
                 self._index_key(record.instance_fp, record.key)
-        elif isinstance(record, CacheRemove):
-            for key in record.keys:
-                self._cache.remove(key)
         elif isinstance(record, SessionStart):
             if record.session_id in self._sessions:
                 raise RecoveryError(

@@ -25,6 +25,8 @@ HTTP decision they share is made here, once:
 * route dispatch from the handler's ``GET_ROUTES``/``POST_ROUTES``
   tables; an unknown POST path is a 404 that closes the connection,
   for the same unread-body reason;
+* the :data:`WORKER_HEADER` that names a cluster worker, and the
+  :data:`NODE_ID` pattern every worker name matches;
 * SIGTERM/SIGINT -> leave ``serve_forever`` so the caller's shutdown
   path runs (:func:`graceful_shutdown`).
 """
@@ -32,6 +34,7 @@ HTTP decision they share is made here, once:
 from __future__ import annotations
 
 import json
+import re
 import signal
 import sys
 import threading
@@ -43,6 +46,8 @@ from .schema import WIRE_SCHEMA_VERSION, ErrorCode
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "NODE_ID",
+    "WORKER_HEADER",
     "JSONHandler",
     "JSONServer",
     "error_body",
@@ -50,6 +55,15 @@ __all__ = [
 ]
 
 MAX_BODY_BYTES = 32 * 1024 * 1024  # refuse absurd payloads outright
+
+#: Names a cluster worker.  The router sends it with every request it
+#: forwards, and a worker mints the session ids it opens under that
+#: name; it is also set on every response the router relays.
+WORKER_HEADER = "X-Repro-Worker"
+
+#: A worker's node id: the suffix of the session ids it mints after
+#: ``@``, so it never contains one.
+NODE_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
 
 
 def error_body(code: str, message: str) -> bytes:

@@ -27,7 +27,6 @@ lifecycle and the ops runbook.
 from .fsutil import atomic_write_bytes, durable_append_line, fsync_dir
 from .records import (
     CachePut,
-    CacheRemove,
     LogRecord,
     SessionClose,
     SessionEvents,
@@ -55,7 +54,6 @@ __all__ = [
     "scan_wal",
     "MAX_RECORD_BYTES",
     "CachePut",
-    "CacheRemove",
     "SessionStart",
     "SessionEvents",
     "SessionClose",

@@ -39,7 +39,6 @@ from .wal import RecoveryError
 
 __all__ = [
     "CachePut",
-    "CacheRemove",
     "SessionStart",
     "SessionEvents",
     "SessionClose",
@@ -80,27 +79,6 @@ class CachePut:
             instance_fp=str(data["instance_fp"]),
             response=dict(data["response"]),
         )
-
-
-@dataclass(frozen=True)
-class CacheRemove:
-    """Cache keys explicitly invalidated (offline tooling / future use).
-
-    The live service derives invalidation from :class:`SessionEvents`
-    replay; this record exists so external tools can retract entries
-    from a log without understanding session semantics.
-    """
-
-    keys: List[str] = field(default_factory=list)
-
-    kind = "cache-remove"
-
-    def to_wire(self) -> dict:
-        return {"kind": self.kind, "keys": list(self.keys)}
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "CacheRemove":
-        return cls(keys=[str(k) for k in data["keys"]])
 
 
 @dataclass(frozen=True)
@@ -171,11 +149,11 @@ class SessionClose:
         return cls(session_id=str(data["session_id"]))
 
 
-LogRecord = Union[CachePut, CacheRemove, SessionStart, SessionEvents, SessionClose]
+LogRecord = Union[CachePut, SessionStart, SessionEvents, SessionClose]
 
 _KINDS: Dict[str, Type] = {
     cls.kind: cls
-    for cls in (CachePut, CacheRemove, SessionStart, SessionEvents, SessionClose)
+    for cls in (CachePut, SessionStart, SessionEvents, SessionClose)
 }
 
 

@@ -154,8 +154,35 @@ class TestCompare:
         slow["calibration_s"] *= 2
         for e in slow["entries"]:
             e["wall_s"] *= 2
+            e["calibration_s"] *= 2
         _lines, regressions = compare_snapshots(slow, base, 25.0)
         assert not regressions
+
+    def test_each_entry_is_normalised_by_its_own_calibration(
+        self, smoke_snapshot
+    ):
+        """A host slowdown in the middle of a run slows the entries it
+        overlaps and their calibration samples, not the run's."""
+        base = json.loads(json.dumps(smoke_snapshot))
+        for e in base["entries"]:
+            e["wall_s"] += 0.01  # above the jitter floor
+            e["calibration_s"] = base["calibration_s"]
+        slow = json.loads(json.dumps(base))
+        victim = slow["entries"][0]
+        victim["wall_s"] *= 2
+        victim["calibration_s"] *= 2
+        _lines, regressions = compare_snapshots(slow, base, 25.0)
+        assert not regressions
+        # An entry recorded without one — as in the committed baseline —
+        # is normalised by its snapshot's calibration.
+        old = json.loads(json.dumps(base))
+        for e in old["entries"]:
+            del e["calibration_s"]
+        lines, regressions = compare_snapshots(slow, old, 25.0)
+        assert "+0.0%" in lines[0] and not regressions
+        victim["calibration_s"] /= 2
+        _lines, regressions = compare_snapshots(slow, old, 25.0)
+        assert len(regressions) == 1
 
     def test_missing_or_errored_solver_is_a_regression(self, smoke_snapshot):
         """The gate fails closed: a solver the baseline measured ok

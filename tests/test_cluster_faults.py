@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -76,6 +77,14 @@ def _post_via(url: str, payload: dict) -> tuple:
 
 def _post(url: str, payload: dict) -> dict:
     return _post_via(url, payload)[0]
+
+
+def _status_via(url: str, payload: dict) -> tuple:
+    """POST ``payload``; ``(HTTP status, worker that served it)``."""
+    try:
+        return 200, _post_via(url, payload)[1]
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers.get(WORKER_HEADER)
 
 
 class TestKillDuringTraffic:
@@ -192,3 +201,54 @@ class TestDurableRouting:
         assert second["status"] == "ok"
         assert second["diagnostics"]["cache_hit"] is True
         assert second["placement"] == first["placement"]
+
+    def test_sessions_route_across_worker_kill_and_router_restart(
+        self, cluster
+    ):
+        manager, router, url = cluster
+        from repro.instances import random_tree
+
+        inst = random_tree(6, 12, capacity=15, dmax=5.0, seed=9)
+        start = {
+            "schema": 1,
+            "instance": SolveRequest(instance=inst).to_wire()["instance"],
+        }
+        owner, successor = HashRing(manager.urls()).successors(
+            instance_fingerprint(inst), limit=2
+        )
+        first, served = _post_via(url + "/v1/dynamic/start", start)
+        assert served == owner
+        # The same instance again with its owner dead fails over to the
+        # ring successor, which opens a second session under its name.
+        manager.worker(owner).kill9()
+        second, served = _post_via(url + "/v1/dynamic/start", start)
+        assert served == successor
+        ids = {owner: first["session_id"], successor: second["session_id"]}
+        assert ids[owner] != ids[successor]
+        for node, sid in ids.items():
+            assert sid.endswith(f"@{node}")
+
+        def apply(router_url: str, node: str) -> tuple:
+            return _status_via(router_url + "/v1/dynamic/apply", {
+                "schema": 1, "session_id": ids[node],
+                "events": [{"kind": "capacity", "capacity": 14}],
+            })
+
+        assert apply(url, successor) == (200, successor)
+        # The dead owner's session is not moved to another worker ...
+        assert apply(url, owner) == (503, None)
+        # ... and answers again once its worker recovers it from the WAL.
+        manager.worker(owner).restart()
+        assert apply(url, owner) == (200, owner)
+        # A restarted router holds no session table, yet routes both.
+        router.shutdown()
+        router.server_close()
+        again = make_router("127.0.0.1", 0, workers=manager.urls())
+        threading.Thread(target=again.serve_forever, daemon=True).start()
+        host, port = again.server_address[:2]
+        try:
+            for node in ids:
+                assert apply(f"http://{host}:{port}", node) == (200, node)
+        finally:
+            again.shutdown()
+            again.server_close()

@@ -20,7 +20,8 @@ import urllib.request
 
 import pytest
 
-from repro.cluster import WORKER_HEADER, HashRing, make_router
+from repro.cluster import WORKER_HEADER, ClusterState, HashRing, make_router
+from repro.cluster.router import RETRY_ROUNDS
 from repro.instances import caterpillar, random_tree, star
 from repro.service import SolveRequest, make_server
 from repro.service.fingerprint import instance_fingerprint
@@ -144,6 +145,12 @@ class TestRouting:
         status, payload, _ = _post(_url(router) + "/v1/nope", {})
         assert status == 404
         assert payload["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize("name", ["", "a@b", "worker 0", "w" * 65])
+    def test_worker_names_must_be_node_ids(self, name):
+        # A name is the owner suffix of the session ids its worker mints.
+        with pytest.raises(ValueError, match="does not match"):
+            ClusterState({name: "http://127.0.0.1:1"})
 
     def test_bad_json_400_without_forwarding(self, cluster):
         router, _ = cluster
@@ -286,6 +293,17 @@ class TestFailover:
         assert all(w.retries == 0 for w in router.state.all_workers())
 
 
+def _start_body(seed: int = 9) -> dict:
+    inst = random_tree(6, 12, capacity=15, dmax=5.0, seed=seed)
+    return {"schema": 1,
+            "instance": SolveRequest(instance=inst).to_wire()["instance"]}
+
+
+def _apply_body(sid: str) -> dict:
+    return {"schema": 1, "session_id": sid,
+            "events": [{"kind": "capacity", "capacity": 15}]}
+
+
 class TestSessions:
     def test_dynamic_session_pinned_to_opening_worker(self, cluster):
         router, _servers = cluster
@@ -316,7 +334,7 @@ class TestSessions:
         )
         assert status == 200
         assert headers[WORKER_HEADER] == opener
-        # Close released the binding: the session is gone.
+        # Closed on its worker: the session is gone.
         status, payload, _ = _post(
             _url(router) + "/v1/dynamic/apply",
             {"schema": 1, "session_id": sid,
@@ -340,3 +358,66 @@ class TestSessions:
             _url(router) + "/v1/dynamic/apply", {"schema": 1, "session_id": 7}
         )
         assert status == 400
+
+    def test_a_second_router_routes_the_session_from_its_id(self, cluster):
+        # A router that never saw the start — a restarted one — routes
+        # apply and close from the id, which names the opening worker.
+        router, servers = cluster
+        status, payload, headers = _post(
+            _url(router) + "/v1/dynamic/start", _start_body()
+        )
+        assert status == 200, payload
+        sid, opener = payload["session_id"], headers[WORKER_HEADER]
+        assert sid.endswith(f"@{opener}")
+        other = make_router(
+            "127.0.0.1", 0, workers={n: _url(s) for n, s in servers.items()}
+        )
+        _start(other)
+        try:
+            for path, body in (
+                ("/v1/dynamic/apply", _apply_body(sid)),
+                ("/v1/dynamic/close", {"schema": 1, "session_id": sid}),
+            ):
+                status, payload, headers = _post(_url(other) + path, body)
+                assert status == 200, (path, payload)
+                assert headers[WORKER_HEADER] == opener
+        finally:
+            other.shutdown()
+            other.server_close()
+
+    def test_owner_less_id_is_404_through_the_router(self, cluster):
+        # Opened straight on a worker, the id names no owner: the
+        # router cannot route it, though the worker still holds it.
+        router, servers = cluster
+        worker = _url(servers["worker-0"])
+        status, payload, _ = _post(worker + "/v1/dynamic/start", _start_body())
+        assert status == 200 and "@" not in payload["session_id"]
+        body = _apply_body(payload["session_id"])
+        status, answer, _ = _post(_url(router) + "/v1/dynamic/apply", body)
+        assert status == 404
+        assert "no such session" in answer["error"]["message"]
+        assert _post(worker + "/v1/dynamic/apply", body)[0] == 200
+
+    def test_dead_session_worker_is_503_after_retry_rounds(self, cluster):
+        # Session traffic runs the failover loop over its owner alone:
+        # one attempt per round, never another worker.
+        router, servers = cluster
+        status, payload, headers = _post(
+            _url(router) + "/v1/dynamic/start", _start_body()
+        )
+        assert status == 200, payload
+        opener = headers[WORKER_HEADER]
+        servers[opener].shutdown()
+        servers[opener].server_close()
+        status, answer, headers = _post(
+            _url(router) + "/v1/dynamic/apply",
+            _apply_body(payload["session_id"]),
+        )
+        assert status == 503
+        assert answer["error"]["code"] == "solver_error"
+        assert WORKER_HEADER not in headers
+        views = {w.node_id: w for w in router.state.all_workers()}
+        assert views[opener].consecutive_failures == RETRY_ROUNDS
+        assert all(
+            w.consecutive_failures == 0 for n, w in views.items() if n != opener
+        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -12,8 +13,10 @@ import pytest
 
 from repro import Placement, ProblemInstance, Tree, check_placement
 from repro.instances import random_tree
+from repro.instances.io import instance_to_dict
 from repro.service import PlacementService, SolveRequest, SolveResponse, make_server
 from repro.service.fingerprint import instance_fingerprint
+from repro.service.httpjson import WORKER_HEADER
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +228,55 @@ class TestRouting:
         stats = _get(base_url + "/v1/healthz")["stats"]
         assert stats["requests"] >= 1
         assert stats["by_status"].get("ok", 0) >= 1
+
+
+class TestSessionOwner:
+    """``/v1/dynamic/start`` puts the router's worker name in the id."""
+
+    @pytest.fixture
+    def durable(self, tmp_path):
+        srv = make_server("127.0.0.1", 0, data_dir=str(tmp_path / "state"))
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        host, port = srv.server_address[:2]
+        try:
+            yield srv, f"http://{host}:{port}"
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            srv.service.close()
+            thread.join(timeout=5)
+
+    @staticmethod
+    def _start(url, inst, headers):
+        req = urllib.request.Request(
+            url + "/v1/dynamic/start",
+            data=json.dumps(
+                {"schema": 1, "instance": instance_to_dict(inst)}
+            ).encode("utf-8"),
+            headers={"Content-Type": "application/json", **headers},
+        )
+        try:
+            with urllib.request.urlopen(req, timeout=30) as resp:
+                return resp.status, json.loads(resp.read())
+        except urllib.error.HTTPError as exc:
+            return exc.code, json.loads(exc.read())
+
+    def test_id_names_the_owner_in_the_header(self, durable, inst):
+        _srv, url = durable
+        status, direct = self._start(url, inst, {})
+        assert status == 200
+        assert re.fullmatch(r"dyn-[0-9a-f]{32}", direct["session_id"])
+        status, routed = self._start(url, inst, {WORKER_HEADER: "worker-7"})
+        assert status == 200
+        assert re.fullmatch(r"dyn-[0-9a-f]{32}@worker-7", routed["session_id"])
+
+    @pytest.mark.parametrize("owner", ["", "a@b", "worker 0", "w" * 65])
+    def test_malformed_owner_is_400_and_logs_nothing(self, durable, inst, owner):
+        srv, url = durable
+        status, answer = self._start(url, inst, {WORKER_HEADER: owner})
+        assert status == 400
+        assert answer["error"]["code"] == "bad_request"
+        assert WORKER_HEADER in answer["error"]["message"]
+        assert srv.service.dynamic_sessions() == []
+        assert srv.service.stats().durability.records_appended == 0

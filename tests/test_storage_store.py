@@ -9,7 +9,6 @@ import pytest
 from repro.storage import wal as wal_module
 from repro.storage import (
     CachePut,
-    CacheRemove,
     RecoveryError,
     SessionClose,
     StateStore,
@@ -259,7 +258,7 @@ class TestSnapshotDiscipline:
         store = StateStore(d, snapshot_interval=0)
         store.recover()
         store.note_applied(store.append(_put(1)))
-        store.note_applied(store.append(CacheRemove(keys=["k1"])))
+        store.note_applied(store.append(_put(2)))
         store.note_applied(store.append(SessionClose(session_id="dyn-1-x")))
         status = store.status()
         assert status.records_appended == 3
