@@ -830,7 +830,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             n_workers=args.workers,
             data_root=args.data_root,
             worker_urls=worker_urls,
-            vnodes=args.vnodes,
             probe_interval=args.probe_interval,
             down_after=args.down_after,
             snapshot_interval=args.snapshot_interval,
@@ -1236,8 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="route across already-running repro serve daemons "
                          "instead of spawning a managed fleet; the i-th URL "
                          "is worker-<i>, so keep the order across restarts")
-    cl.add_argument("--vnodes", type=_positive_int, default=16,
-                    help="virtual nodes per worker on the hash ring")
     cl.add_argument("--probe-interval", type=float, default=1.0,
                     help="seconds between health probes of each worker")
     cl.add_argument("--down-after", type=_positive_int, default=2,

@@ -19,7 +19,6 @@ import threading
 from typing import Dict, Optional
 
 from ..service.httpjson import graceful_shutdown
-from .ring import DEFAULT_VNODES
 from .router import make_router
 from .workers import ClusterManager
 
@@ -33,7 +32,6 @@ def run_cluster(
     n_workers: int = 3,
     data_root: Optional[str] = None,
     worker_urls: Optional[Dict[str, str]] = None,
-    vnodes: int = DEFAULT_VNODES,
     probe_interval: float = 1.0,
     down_after: int = 2,
     snapshot_interval: int = 64,
@@ -62,7 +60,6 @@ def run_cluster(
             host,
             port,
             workers=workers,
-            vnodes=vnodes,
             down_after=down_after,
             probe_interval=probe_interval,
             verbose=verbose,
@@ -79,7 +76,7 @@ def run_cluster(
     )
     print(
         f"repro cluster: router listening on http://{bound_host}:{bound_port} "
-        f"({managed}; vnodes={vnodes}, probe every {probe_interval}s)",
+        f"({managed}; probe every {probe_interval}s)",
         file=sys.stderr,
     )
     for node_id, url in sorted(workers.items()):

@@ -64,12 +64,15 @@ from ..service.httpjson import (
     error_body,
 )
 from ..service.schema import WIRE_SCHEMA_VERSION, ErrorCode
-from .ring import DEFAULT_VNODES, HashRing
+from .ring import HashRing
 
 __all__ = ["ClusterState", "RouterServer", "make_router", "WorkerView"]
 
 #: Seconds one forward may take before it counts as a transport failure.
 FORWARD_TIMEOUT_S = 60.0
+
+#: Seconds one health probe may take before it counts as a failure.
+PROBE_TIMEOUT_S = 5.0
 
 #: Passes the failover loop makes over a request's workers.
 RETRY_ROUNDS = 2
@@ -118,9 +121,8 @@ class ClusterState:
     Parameters
     ----------
     workers:
-        ``node_id -> base_url`` of the worker fleet.
-    vnodes:
-        Virtual nodes per worker on the hash ring.
+        ``node_id -> base_url`` of the worker fleet, each owning
+        :data:`~repro.cluster.ring.DEFAULT_VNODES` points on the ring.
     down_after:
         Consecutive failures (probe or forward) before a worker is
         ejected from the ring.
@@ -130,7 +132,6 @@ class ClusterState:
         self,
         workers: Dict[str, str],
         *,
-        vnodes: int = DEFAULT_VNODES,
         down_after: int = 2,
     ) -> None:
         if not workers:
@@ -145,7 +146,7 @@ class ClusterState:
             node_id: WorkerView(node_id, url)
             for node_id, url in sorted(workers.items())
         }
-        self.ring = HashRing(self.workers, vnodes=vnodes)
+        self.ring = HashRing(self.workers)
         self.down_after = max(1, down_after)
         self.started = time.monotonic()
 
@@ -236,13 +237,10 @@ class ClusterState:
 class _Prober(threading.Thread):
     """Background health prober; drives eject/rejoin."""
 
-    def __init__(
-        self, state: ClusterState, interval: float, timeout: float
-    ) -> None:
+    def __init__(self, state: ClusterState, interval: float) -> None:
         super().__init__(name="cluster-prober", daemon=True)
         self.state = state
         self.interval = interval
-        self.timeout = timeout
         self.stop_event = threading.Event()
 
     def run(self) -> None:
@@ -254,7 +252,7 @@ class _Prober(threading.Thread):
         t0 = time.perf_counter()
         try:
             with urllib.request.urlopen(
-                worker.base_url + "/v1/healthz", timeout=self.timeout
+                worker.base_url + "/v1/healthz", timeout=PROBE_TIMEOUT_S
             ) as resp:
                 ok = resp.status == 200
                 resp.read()
@@ -278,7 +276,6 @@ class RouterServer(JSONServer):
         state: ClusterState,
         *,
         probe_interval: float = 1.0,
-        probe_timeout: float = 5.0,
         backoff_base: float = 0.05,
         backoff_cap: float = 0.5,
         verbose: bool = False,
@@ -288,7 +285,7 @@ class RouterServer(JSONServer):
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.verbose = verbose
-        self.prober = _Prober(state, probe_interval, probe_timeout)
+        self.prober = _Prober(state, probe_interval)
 
     def start_prober(self) -> None:
         if not self.prober.is_alive():
@@ -453,10 +450,8 @@ def make_router(
     port: int = 8360,
     *,
     workers: Dict[str, str],
-    vnodes: int = DEFAULT_VNODES,
     down_after: int = 2,
     probe_interval: float = 1.0,
-    probe_timeout: float = 5.0,
     backoff_base: float = 0.05,
     backoff_cap: float = 0.5,
     verbose: bool = False,
@@ -469,12 +464,11 @@ def make_router(
     health probing (tests may drive :meth:`_Prober.probe` manually for
     determinism instead).
     """
-    state = ClusterState(workers, vnodes=vnodes, down_after=down_after)
+    state = ClusterState(workers, down_after=down_after)
     return RouterServer(
         (host, port),
         state,
         probe_interval=probe_interval,
-        probe_timeout=probe_timeout,
         backoff_base=backoff_base,
         backoff_cap=backoff_cap,
         verbose=verbose,

@@ -161,9 +161,10 @@ class DynamicPlacement:
         self._repair_failures = 0
         self._fallbacks = 0
         self._events_seen = 0
-        # One mutex serialises apply/resolve_full so the engine can sit
-        # behind the threaded service façade unchanged.
-        self._mutex = threading.RLock()
+        #: Serialises apply/resolve_full/checkpoint.  The service holds
+        #: it across a batch's log append and apply, and across a
+        #: session's close, so its log order is its apply order.
+        self.lock = threading.RLock()
         try:
             placement, _stats, _mode, _reason = self._solve_current()
         except ReproError:
@@ -221,10 +222,10 @@ class DynamicPlacement:
     ) -> Tuple[ProblemInstance, Optional[str], FrozenSet[int]]:
         """Atomic ``(instance, requested_solver, failed_hosts)`` snapshot.
 
-        Taken under the engine mutex so the storage layer never captures
+        Taken under the engine lock so the storage layer never captures
         a half-applied event batch.
         """
-        with self._mutex:
+        with self.lock:
             return self._instance, self._solver_name, self._failed
 
     def fingerprint(self) -> str:
@@ -234,7 +235,7 @@ class DynamicPlacement:
         Memoized until the next batch changes the snapshot, so an
         apply's ``outcome.fingerprint`` and later calls share one key.
         """
-        with self._mutex:
+        with self.lock:
             if self._key is None:
                 self._key = instance_fingerprint(self._instance, self._failed)
             return self._key
@@ -266,7 +267,7 @@ class DynamicPlacement:
         engine keeps accepting events.  A batch containing an invalid
         event is rejected *whole* — the snapshot is untouched.
         """
-        with self._mutex:
+        with self.lock:
             return self._apply_locked(tuple(events))
 
     def _apply_locked(self, events: Tuple[ChangeEvent, ...]) -> RepairOutcome:
@@ -341,7 +342,7 @@ class DynamicPlacement:
         is built on this pairing.  Returns ``(placement, seconds)``;
         ``placement`` is ``None`` when the snapshot is unsolvable.
         """
-        with self._mutex:
+        with self.lock:
             t0 = time.perf_counter()
             try:
                 if self._backend is not None:

@@ -2,8 +2,10 @@
 
 A deliberately small, dependency-free LRU built on ``OrderedDict``:
 ``get`` promotes, ``put`` evicts the least recently used entry past
-``max_entries``.  All operations take one lock, so the cache can sit
-behind the threaded daemon unchanged.
+``max_entries``.  The service keys each entry by the content it
+answers, so an entry never goes stale: the service removes none, and
+only the LRU bound evicts.  All operations take one lock, so the cache
+can sit behind the threaded daemon unchanged.
 Hit/miss/eviction counters are exposed as an immutable
 :class:`CacheStats` snapshot for the diagnostics and analysis layers.
 """
@@ -61,10 +63,6 @@ class ResultCache(Generic[V]):
         with self._lock:
             return len(self._data)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._data
-
     # ------------------------------------------------------------------
     def get(self, key: str, *, count_miss: bool = True) -> Optional[V]:
         """The cached value (promoted to most-recent), or ``None``.
@@ -100,16 +98,6 @@ class ResultCache(Generic[V]):
             while len(self._data) > self._max:
                 self._data.popitem(last=False)
                 self._evictions += 1
-
-    def remove(self, key: str) -> bool:
-        """Invalidate one entry; True if it was present.
-
-        Used by the dynamic-session path: when events mutate an
-        instance, every cached response keyed to its old fingerprint is
-        dropped (counters are untouched — invalidation is not a miss).
-        """
-        with self._lock:
-            return self._data.pop(key, None) is not None
 
     def entries(self) -> "list[tuple[str, V]]":
         """``(key, value)`` pairs in LRU order (oldest first).

@@ -28,11 +28,14 @@ Endpoints
     ``durability`` section: data dir, last/snapshot sequence numbers,
     WAL size, replay counters).
 ``POST /v1/dynamic/start``
-    Body: ``{"schema": 1, "instance": {...}, "solver": str|null}``.
-    Opens an online re-placement session; returns ``{"session_id",
-    "solver", "n_replicas", "fingerprint"}``.  A cluster router names
-    the worker in an ``X-Repro-Worker`` header, and the session id ends
-    ``@<that name>``; a name outside ``[A-Za-z0-9_-]{1,64}`` is a 400.
+    Body: a ``SolveRequest`` wire object, checked as ``/v1/solve``
+    checks it; its ``instance`` and ``solver`` are used.  Opens an
+    online re-placement session; returns ``{"session_id", "solver",
+    "n_replicas", "fingerprint"}``.  A malformed body, an unknown
+    solver or an infeasible instance is a 400 that logs nothing.  A
+    cluster router names the worker in an ``X-Repro-Worker`` header,
+    and the session id ends ``@<that name>``; a name outside
+    ``[A-Za-z0-9_-]{1,64}`` is a 400.
 ``POST /v1/dynamic/apply``
     Body: ``{"schema": 1, "session_id": str, "events": [...]}`` with
     events in the :func:`~repro.dynamic.event_to_wire` shape.  Folds
@@ -66,6 +69,7 @@ import threading
 from typing import List, Optional, Tuple
 
 from ..core.errors import ReproError
+from ..runner.registry import UnknownSolverError
 from ..storage import StateStore
 from .facade import PlacementService, UnknownSessionError
 from .httpjson import (
@@ -75,7 +79,7 @@ from .httpjson import (
     JSONServer,
     graceful_shutdown,
 )
-from .schema import WIRE_SCHEMA_VERSION, ErrorCode
+from .schema import WIRE_SCHEMA_VERSION, ErrorCode, SolveRequest, WireFormatError
 
 __all__ = ["PlacementServer", "make_server", "serve"]
 
@@ -158,11 +162,6 @@ class _Handler(JSONHandler):
         return payload
 
     def _post_dynamic_start(self, payload: object, _body: bytes) -> None:
-        from ..instances.io import instance_from_dict
-
-        payload = self._check_envelope(payload)
-        if payload is None:
-            return
         owner = self.headers.get(WORKER_HEADER)
         if owner is not None and not NODE_ID.fullmatch(owner):
             self._send_error_json(
@@ -171,34 +170,22 @@ class _Handler(JSONHandler):
                 f"{WORKER_HEADER} must match {NODE_ID.pattern}, got {owner!r}",
             )
             return
-        solver = payload.get("solver")
-        if solver is not None and not isinstance(solver, str):
-            self._send_error_json(
-                400, ErrorCode.BAD_REQUEST, "'solver' must be a string or null"
-            )
-            return
         try:
-            instance = instance_from_dict(payload["instance"])
-        except KeyError:
-            self._send_error_json(
-                400, ErrorCode.BAD_REQUEST, "request is missing 'instance'"
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 — normalise codec failures
-            self._send_error_json(
-                400,
-                ErrorCode.BAD_REQUEST,
-                f"bad instance payload — {type(exc).__name__}: {exc}",
-            )
+            request = SolveRequest.from_wire(payload)
+        except WireFormatError as exc:
+            self._send_error_json(400, ErrorCode.BAD_REQUEST, str(exc))
             return
         service = self.server.service
         try:
             session_id = service.start_dynamic(
-                instance, solver=solver, owner=owner
+                request.instance, solver=request.solver, owner=owner
             )
+        except UnknownSolverError as exc:
+            self._send_error_json(400, ErrorCode.UNKNOWN_SOLVER, str(exc))
+            return
         except ReproError as exc:
-            # An unsolvable initial snapshot (or unknown solver) is the
-            # caller's problem, reported structurally, not a 500.
+            # An unsolvable initial snapshot is the caller's problem,
+            # reported structurally, not a 500.
             self._send_error_json(400, ErrorCode.INFEASIBLE, str(exc))
             return
         engine = service.dynamic_session(session_id)

@@ -30,11 +30,10 @@ so the threaded HTTP daemon and library callers share one instance.
 The service also fronts the online re-placement layer:
 :meth:`PlacementService.start_dynamic` opens a
 :class:`~repro.dynamic.DynamicPlacement` session and
-:meth:`PlacementService.apply_events` folds change events into it while
-keeping the result cache honest — entries keyed by the mutated
-instance's old content fingerprint are invalidated (via an
-``instance_fp -> request keys`` index) and the incremental repair
-result is seeded under the new fingerprint.  See ``docs/service.md``.
+:meth:`PlacementService.apply_events` folds change events into it,
+seeding the incremental repair result under the mutated instance's
+content key.  A cache key names content, so no entry ever goes stale:
+only the LRU bound evicts.  See ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -147,13 +145,6 @@ def _recovered(wire: dict) -> SolveResponse:
     return response
 
 
-def _instance_key(engine: "DynamicPlacement") -> str:
-    """Content key of a session's instance alone (no failed hosts)."""
-    if engine.failed_hosts:
-        return instance_fingerprint(engine.instance)
-    return engine.fingerprint()
-
-
 @dataclass(frozen=True)
 class ServiceStats:
     """Point-in-time service counters for health checks and reports."""
@@ -231,9 +222,6 @@ class PlacementService:
         self._by_status: Dict[str, int] = {}
         self._latencies_ms: List[float] = []
         self._started = time.monotonic()
-        # instance fingerprint -> request cache keys derived from it,
-        # so dynamic-session mutations can invalidate precisely.
-        self._fp_index: Dict[str, Set[str]] = {}
         self._sessions: Dict[str, "DynamicPlacement"] = {}
         self._store: Optional[StateStore] = None
         self._replaying = False
@@ -396,7 +384,6 @@ class PlacementService:
                     )
                 )
             self._cache.put(fp, entry)
-            self._index_key(inst_fp, fp)
             self._note_applied(seq)
         if not request.include_assignments:
             response = replace(response, placement=None)
@@ -607,30 +594,44 @@ class PlacementService:
             raise UnknownSessionError(session_id) from None
 
     def close_dynamic(self, session_id: str) -> None:
-        """Drop a session (idempotent); cached results stay valid."""
+        """Drop a session (idempotent); cached results stay valid.
+
+        The close is logged and applied under the session's lock, so an
+        :meth:`apply_events` racing it is logged either before the close
+        or not at all.
+        """
         with self._lock:
-            known = session_id in self._sessions
+            engine = self._sessions.get(session_id)
         # Only log closes of sessions that exist: replaying a close for
         # an unknown id is harmless (pop is idempotent), but logging
         # no-ops would bloat the WAL for misbehaving clients.
-        seq = self._log(SessionClose(session_id=session_id)) if known else None
-        with self._lock:
-            self._sessions.pop(session_id, None)
+        if engine is None:
+            return
+        with engine.lock:
+            with self._lock:
+                if self._sessions.get(session_id) is not engine:
+                    return  # a racing close logged it
+            seq = self._log(SessionClose(session_id=session_id))
+            with self._lock:
+                del self._sessions[session_id]
         self._note_applied(seq)
 
     def apply_events(
         self, session_id: str, events: Sequence["ChangeEvent"]
     ) -> "RepairOutcome":
-        """Fold events into a dynamic session, keeping the cache honest.
+        """Fold events into a dynamic session and seed the result cache.
 
-        The session's instance is mutated by the events, so every
-        result cached under its *old* content fingerprint is
-        invalidated (the ``instance_fp -> request keys`` index makes
-        this precise — untouched instances keep their entries).  When
-        the repair succeeded in pure incremental mode with no failed
-        hosts, the repaired placement is seeded back into the cache
-        under the *new* fingerprint, so a follow-up :meth:`solve` of
-        the mutated instance is a hit instead of a re-solve.
+        No cached entry is evicted: each is keyed by the content it
+        answers, and the session's pre-event content still has that
+        answer.  When the repair succeeded in pure incremental mode with
+        no failed hosts, the repaired placement is seeded into the cache
+        under the mutated instance's content key, so a follow-up
+        :meth:`solve` of the mutated instance is a hit instead of a
+        re-solve.
+
+        The session's lock spans the check that it is still open, the
+        log append and the apply, so the log holds a session's batches
+        in the order they were applied, and none after its close.
 
         Parameters
         ----------
@@ -646,54 +647,42 @@ class PlacementService:
         Raises
         ------
         UnknownSessionError
-            If ``session_id`` names no open session.
+            If ``session_id`` names no open session, or a racing
+            :meth:`close_dynamic` closed it first (nothing is logged).
         """
         from ..dynamic import event_to_wire
 
         engine = self.dynamic_session(session_id)
-        # Log the *events*, not their side effects: cache invalidation
-        # and seeding are re-derived on replay through the same
-        # `_apply_events_core` path, so one record is one crash-atomic
-        # service operation.
-        seq = self._log(
-            SessionEvents(
-                session_id=session_id,
-                events=[event_to_wire(e) for e in events],
+        with engine.lock:
+            with self._lock:
+                if self._sessions.get(session_id) is not engine:
+                    raise UnknownSessionError(session_id)
+            # Log the *events*, not their side effects: cache seeding is
+            # re-derived on replay through the same `_apply_events_core`
+            # path, so one record is one crash-atomic service operation.
+            seq = self._log(
+                SessionEvents(
+                    session_id=session_id,
+                    events=[event_to_wire(e) for e in events],
+                )
             )
-        )
-        outcome = self._apply_events_core(engine, events)
+            outcome = self._apply_events_core(engine, events)
+        # Outside the lock: it may snapshot, which takes every session's.
         self._note_applied(seq)
         return outcome
 
     def _apply_events_core(
         self, engine: "DynamicPlacement", events: Sequence["ChangeEvent"]
     ) -> "RepairOutcome":
-        """Fold events into ``engine`` + cache upkeep (shared with replay).
+        """Fold events into ``engine`` and seed the cache (shared with replay).
 
-        With no failed host, the engine's memoized key is the instance's
-        content key: the pre-apply key is then the one the previous
-        apply computed for ``outcome.fingerprint``, and the post-apply
-        key is this apply's — one key per apply.
+        With no failed host, ``outcome.fingerprint`` is the mutated
+        instance's content key: one key per apply.
         """
-        old_fp = _instance_key(engine)
         outcome = engine.apply(events)
-        new_fp = _instance_key(engine)
-        if new_fp != old_fp:
-            self._invalidate_instance(old_fp)
-        if (
-            outcome.ok
-            and outcome.mode == "incremental"
-            and not engine.failed_hosts
-            and outcome.placement is not None
-        ):
-            self._seed_cache(engine, new_fp, outcome)
+        if outcome.ok and outcome.mode == "incremental" and not engine.failed_hosts:
+            self._seed_cache(engine, outcome.fingerprint, outcome)
         return outcome
-
-    def _invalidate_instance(self, inst_fp: str) -> None:
-        with self._lock:
-            keys = self._fp_index.pop(inst_fp, set())
-        for key in keys:
-            self._cache.remove(key)
 
     def _seed_cache(
         self, engine: "DynamicPlacement", inst_fp: str, outcome: "RepairOutcome"
@@ -728,7 +717,6 @@ class PlacementService:
             ),
         )
         self._cache.put(fp, response)
-        self._index_key(inst_fp, fp)
         try:
             auto_spec, _reason = select_solver(engine.instance, None)
         except NoApplicableSolverError:  # pragma: no cover - defensive
@@ -738,24 +726,6 @@ class PlacementService:
             self._cache.put(auto_fp, replace(response, diagnostics=replace(
                 response.diagnostics, fingerprint=auto_fp, selection="dynamic",
             )))
-            self._index_key(inst_fp, auto_fp)
-
-    def _index_key(self, inst_fp: str, request_fp: str) -> None:
-        with self._lock:
-            self._fp_index.setdefault(inst_fp, set()).add(request_fp)
-            overgrown = len(self._fp_index) > max(64, 4 * self._cache.stats().max_entries)
-        if overgrown:
-            self._prune_fp_index()
-
-    def _prune_fp_index(self) -> None:
-        """Drop index entries whose cache keys were all evicted."""
-        with self._lock:
-            for inst_fp in list(self._fp_index):
-                live = {k for k in self._fp_index[inst_fp] if k in self._cache}
-                if live:
-                    self._fp_index[inst_fp] = live
-                else:
-                    del self._fp_index[inst_fp]
 
     # -- durability (WAL + snapshot persistence) -----------------------
     def _attach_store(self, store: StateStore) -> None:
@@ -763,10 +733,9 @@ class PlacementService:
 
         Runs the snapshot restore and record replay with ``_replaying``
         set, so the mutations they trigger (cache puts, session
-        creation, invalidation/seeding from event replay) are *not*
-        logged again.  Only after a complete replay is the store bound —
-        a failed recovery leaves the service unusable rather than
-        half-recovered.
+        creation, seeding from event replay) are *not* logged again.
+        Only after a complete replay is the store bound — a failed
+        recovery leaves the service unusable rather than half-recovered.
         """
         recovered = store.recover()
         self._replaying = True
@@ -826,11 +795,6 @@ class PlacementService:
         the assignments of entries never encoded before."""
         with self._lock:
             sessions = list(self._sessions.items())
-            key_to_fp = {
-                key: inst_fp
-                for inst_fp, keys in self._fp_index.items()
-                for key in keys
-            }
         out_sessions = {}
         for sid, engine in sessions:
             instance, solver, failed = engine.checkpoint()
@@ -840,11 +804,7 @@ class PlacementService:
                 "failed": sorted(int(v) for v in failed),
             }
         cache = [
-            {
-                "key": key,
-                "instance_fp": key_to_fp.get(key, ""),
-                "response": resp.to_spliced_wire(),
-            }
+            {"key": key, "response": resp.to_spliced_wire()}
             for key, resp in self._cache.entries()
         ]
         return {
@@ -874,10 +834,10 @@ class PlacementService:
                     failed=frozenset(int(v) for v in body.get("failed", [])),
                     strict=False,
                 )
+            # Older snapshots also store each entry's `instance_fp`;
+            # nothing reads it.
             for entry in list(state.get("cache", [])):
                 self._cache.put(str(entry["key"]), _recovered(entry["response"]))
-                if entry.get("instance_fp"):
-                    self._index_key(str(entry["instance_fp"]), str(entry["key"]))
         except RecoveryError:
             raise
         except Exception as exc:  # noqa: BLE001 — normalise codec failures
@@ -891,8 +851,6 @@ class PlacementService:
 
         if isinstance(record, CachePut):
             self._cache.put(record.key, _recovered(record.response))
-            if record.instance_fp:
-                self._index_key(record.instance_fp, record.key)
         elif isinstance(record, SessionStart):
             if record.session_id in self._sessions:
                 raise RecoveryError(

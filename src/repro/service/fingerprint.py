@@ -51,8 +51,8 @@ def combine_fingerprint(
 ) -> str:
     """:func:`request_fingerprint` from an already-computed instance fp.
 
-    Lets the service hash each instance once per request while keeping
-    an ``instance_fp -> request keys`` index for targeted invalidation.
+    Lets the service hash each instance once per request, and key a
+    dynamic session's repair under the engine's own content key.
 
     ``tenant`` namespaces the key for multi-tenant deployments: the
     answer for a given instance content is tenant-independent, but

@@ -12,8 +12,8 @@ record                 mutation
                        result cache (``repro serve`` ``POST /v1/solve``)
 :class:`SessionStart`  a dynamic re-placement session opened
 :class:`SessionEvents` one event batch folded into a session — replay
-                       re-derives the cache invalidation/seeding the
-                       live call performed, through the same code path
+                       re-derives the cache seeding the live call
+                       performed, through the same code path
 :class:`SessionClose`  a session dropped
 =====================  =============================================
 
@@ -55,7 +55,8 @@ class CachePut:
     ``response`` is the response's wire dict; the service passes its
     placement pre-encoded (:class:`~repro.instances.io.RawJSON`), which
     encodes to the same payload bytes.  A decoded record holds plain
-    JSON.
+    JSON.  ``instance_fp`` is the content key of the solved instance;
+    the service writes it and recovery does not read it.
     """
 
     key: str

@@ -51,7 +51,6 @@ def cluster(tmp_path):
         backoff_base=0.01,
         backoff_cap=0.05,
         probe_interval=0.2,
-        probe_timeout=2.0,
     )
     thread = threading.Thread(target=router.serve_forever, daemon=True)
     thread.start()

@@ -1,10 +1,10 @@
-"""Service-layer dynamic sessions: apply_events + cache invalidation.
+"""Service-layer dynamic sessions: apply_events and the result cache.
 
 Regression coverage for the contract in
-:meth:`repro.service.PlacementService.apply_events`: mutating a
-session's instance must invalidate exactly the result-cache entries
-keyed to its old content fingerprint, and a pure-incremental repair
-seeds the cache under the new fingerprint.
+:meth:`repro.service.PlacementService.apply_events`: a cache entry is
+keyed by its instance's content, so mutating a session's instance
+leaves every entry correct and in place, and a pure-incremental repair
+seeds the cache under the mutated instance's key.
 """
 
 from __future__ import annotations
@@ -77,20 +77,37 @@ class TestDynamicSessions:
 
 
 class TestCacheInvalidation:
-    def test_old_fingerprint_entries_are_invalidated(self, multiple_instance):
-        with PlacementService() as svc:
-            first = svc.solve_instance(multiple_instance, "multiple-nod-dp")
-            assert first.ok and not first.diagnostics.cache_hit
+    """What apply_events does to the cache: it seeds, and invalidates
+    nothing."""
+
+    @pytest.mark.parametrize("kind", ["demand", "capacity"])
+    @pytest.mark.parametrize("where", ["memory", "restarted"])
+    def test_pre_event_entry_still_hits(
+        self, tmp_path, multiple_instance, where, kind
+    ):
+        # The session's instance *is* the cached content, mutated; the
+        # entry keyed by the pre-event content still answers that
+        # content, live and after a restart replays the events.
+        event = (
+            _bump_leaf_event(multiple_instance)
+            if kind == "demand"
+            else CapacityEvent(multiple_instance.capacity + 1)
+        )
+        store = StateStore(str(tmp_path), fsync=False) if where == "restarted" else None
+        svc = PlacementService(store=store)
+        first = svc.solve_instance(multiple_instance, "multiple-nod-dp")
+        assert first.ok and not first.diagnostics.cache_hit
+        sid = svc.start_dynamic(multiple_instance)
+        assert svc.apply_events(sid, [event]).ok
+        if store is not None:
+            svc.close()  # crash-equivalent: the restart replays the log
+            svc = PlacementService(store=StateStore(str(tmp_path), fsync=False))
+            assert svc.stats().durability.records_replayed == 3
+        with svc:
             again = svc.solve_instance(multiple_instance, "multiple-nod-dp")
-            assert again.diagnostics.cache_hit
-
-            sid = svc.start_dynamic(multiple_instance)
-            svc.apply_events(sid, [_bump_leaf_event(multiple_instance)])
-
-            # The entry keyed by the pre-event content must be gone:
-            # the session's instance *is* that content, mutated.
-            after = svc.solve_instance(multiple_instance, "multiple-nod-dp")
-            assert not after.diagnostics.cache_hit
+        assert again.diagnostics.cache_hit
+        assert again.n_replicas == first.n_replicas
+        assert again.placement == first.placement
 
     def test_incremental_repair_seeds_new_fingerprint(self, multiple_instance):
         with PlacementService() as svc:
@@ -146,9 +163,10 @@ class TestCacheInvalidation:
             assert kept.diagnostics.cache_hit
 
     def test_one_content_key_per_apply(self, multiple_instance, monkeypatch):
-        # The pre-apply key is the previous apply's post-apply key, and
-        # with no failed host the post-apply key is the engine's own
-        # outcome.fingerprint: one instance_fingerprint per apply.
+        # With no failed host the engine's outcome.fingerprint is the
+        # mutated instance's content key, and the service seeds the
+        # cache under it: one instance_fingerprint per apply, the
+        # session's first included.
         import repro.dynamic.engine as engine_module
         import repro.service.facade as facade_module
 
@@ -164,25 +182,12 @@ class TestCacheInvalidation:
         client = sorted(multiple_instance.tree.clients)[0]
         with PlacementService() as svc:
             sid = svc.start_dynamic(multiple_instance)
-            # The session's first apply also keys its starting instance.
-            svc.apply_events(sid, [_bump_leaf_event(multiple_instance)])
             for level in (1, 2, 3, 2):
                 del calls[:]
                 outcome = svc.apply_events(sid, [DemandEvent(client, level)])
                 assert outcome.ok and len(calls) == 1
             mutated = svc.dynamic_session(sid).instance
             assert svc.solve_instance(mutated, "multiple-nod-dp").diagnostics.cache_hit
-
-    def test_capacity_event_invalidates_too(self, multiple_instance):
-        with PlacementService() as svc:
-            svc.solve_instance(multiple_instance, "multiple-nod-dp")
-            sid = svc.start_dynamic(multiple_instance)
-            outcome = svc.apply_events(
-                sid, [CapacityEvent(multiple_instance.capacity + 1)]
-            )
-            assert outcome.ok
-            stale = svc.solve_instance(multiple_instance, "multiple-nod-dp")
-            assert not stale.diagnostics.cache_hit
 
 
 class TestStateFromBeforeTheContentKey:

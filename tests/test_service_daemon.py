@@ -59,6 +59,28 @@ def inst():
     return random_tree(6, 12, capacity=15, dmax=5.0, seed=7)
 
 
+@pytest.fixture
+def durable(tmp_path):
+    """A daemon with a data dir, so a test can count its log records."""
+    srv = make_server("127.0.0.1", 0, data_dir=str(tmp_path / "state"))
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    host, port = srv.server_address[:2]
+    try:
+        yield srv, f"http://{host}:{port}"
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        srv.service.close()
+        thread.join(timeout=5)
+
+
+# A dynamic/start body is a solve body: both routes check it alike.
+SOLVE_ROUTES = pytest.mark.parametrize(
+    "route", ["/v1/solve", "/v1/dynamic/start"], ids=["solve", "start"]
+)
+
+
 class TestHealthz:
     def test_ok_with_stats(self, base_url):
         data = _get(base_url + "/v1/healthz")
@@ -119,13 +141,17 @@ class TestSolve:
         assert resp.solver == "local"
         assert resp.request_id == "req-42"
 
-    def test_unknown_solver_is_http_400(self, base_url, inst):
+    @SOLVE_ROUTES
+    def test_unknown_solver_is_http_400(self, durable, inst, route):
+        srv, url = durable
         payload = SolveRequest(instance=inst, solver="nope").to_wire()
         with pytest.raises(urllib.error.HTTPError) as err:
-            _post(base_url + "/v1/solve", payload)
+            _post(url + route, payload)
         assert err.value.code == 400
         body = json.loads(err.value.read())
         assert body["error"]["code"] == "unknown_solver"
+        assert "nope" in body["error"]["message"]
+        assert srv.service.stats().durability.records_appended == 0
 
     def test_solver_level_failures_are_http_200(self, base_url):
         # Infeasible is a solve outcome, not a caller mistake.
@@ -148,12 +174,16 @@ class TestSolve:
         assert err.value.code == 400
         assert json.loads(err.value.read())["error"]["code"] == "bad_request"
 
-    def test_wrong_schema_version_is_http_400(self, base_url, inst):
+    @SOLVE_ROUTES
+    def test_wrong_schema_version_is_http_400(self, durable, inst, route):
+        srv, url = durable
         payload = SolveRequest(instance=inst).to_wire()
         payload["schema"] = 999
         with pytest.raises(urllib.error.HTTPError) as err:
-            _post(base_url + "/v1/solve", payload)
+            _post(url + route, payload)
         assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]["code"] == "bad_request"
+        assert srv.service.stats().durability.records_appended == 0
 
 
 class TestRouting:
@@ -232,20 +262,6 @@ class TestRouting:
 
 class TestSessionOwner:
     """``/v1/dynamic/start`` puts the router's worker name in the id."""
-
-    @pytest.fixture
-    def durable(self, tmp_path):
-        srv = make_server("127.0.0.1", 0, data_dir=str(tmp_path / "state"))
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        host, port = srv.server_address[:2]
-        try:
-            yield srv, f"http://{host}:{port}"
-        finally:
-            srv.shutdown()
-            srv.server_close()
-            srv.service.close()
-            thread.join(timeout=5)
 
     @staticmethod
     def _start(url, inst, headers):

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.dynamic import CapacityEvent, DemandEvent, FailureEvent
 from repro.instances.generators import random_tree
-from repro.service import PlacementService
+from repro.service import PlacementService, UnknownSessionError
 from repro.storage import (
     RecoveryError,
     SessionEvents,
@@ -286,6 +288,127 @@ class TestDeterministicCrashes:
         second = again.start_dynamic(INSTANCES[1])
         assert first != second
         again.close()
+
+
+class TestSessionRaces:
+    """A session's log order is its apply order, so a restart rebuilds
+    the live state even when two calls on one session race."""
+
+    def _durable(self, tmp_path) -> PlacementService:
+        return PlacementService(
+            store=StateStore(str(tmp_path / "state"), fsync=False)
+        )
+
+    def _assert_restart_matches(self, tmp_path, live) -> None:
+        want = live.state_fingerprint()
+        live.close()
+        with self._durable(tmp_path) as restarted:
+            assert restarted.state_fingerprint() == want
+
+    def test_apply_racing_a_close(self, tmp_path, monkeypatch):
+        live = self._durable(tmp_path)
+        sid = live.start_dynamic(INSTANCES[0])
+        client = sorted(INSTANCES[0].tree.clients)[0]
+        looked_up, resume = threading.Event(), threading.Event()
+        lookup = live.dynamic_session
+
+        def paused_lookup(session_id):
+            engine = lookup(session_id)
+            looked_up.set()
+            assert resume.wait(timeout=10)
+            return engine
+
+        monkeypatch.setattr(live, "dynamic_session", paused_lookup)
+        answers = []
+
+        def apply():
+            try:
+                answers.append(live.apply_events(sid, [DemandEvent(client, 1)]))
+            except UnknownSessionError as exc:
+                answers.append(exc)
+
+        applier = threading.Thread(target=apply)
+        applier.start()
+        assert looked_up.wait(timeout=10)
+        live.close_dynamic(sid)  # wins: the apply has not logged yet
+        resume.set()
+        applier.join(timeout=10)
+        # The apply finds its session closed: a 404 that logs nothing.
+        assert [type(a) for a in answers] == [UnknownSessionError]
+        assert live.stats().durability.records_appended == 2
+        self._assert_restart_matches(tmp_path, live)
+
+    def test_apply_racing_an_apply(self, tmp_path, monkeypatch):
+        live = self._durable(tmp_path)
+        sid = live.start_dynamic(INSTANCES[0])
+        client = sorted(INSTANCES[0].tree.clients)[0]
+        logged, resume = threading.Event(), threading.Event()
+        log = live._log
+
+        def paused_log(record):
+            seq = log(record)
+            if threading.current_thread().name == "first":
+                logged.set()
+                assert resume.wait(timeout=10)
+            return seq
+
+        monkeypatch.setattr(live, "_log", paused_log)
+
+        def apply(level):
+            return threading.Thread(
+                target=live.apply_events,
+                args=(sid, [DemandEvent(client, level)]),
+                name="first" if level == 1 else "second",
+            )
+
+        first, second = apply(1), apply(5)
+        first.start()
+        assert logged.wait(timeout=10)  # level 1 logged, not yet applied
+        second.start()
+        second.join(timeout=0.5)  # the fix holds it until the first applies
+        resume.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        assert live.dynamic_session(sid).instance.tree.requests(client) == 5
+        assert live.stats().durability.records_appended == 3
+        self._assert_restart_matches(tmp_path, live)
+
+
+    def test_concurrent_applies_and_a_close_recover(self, tmp_path):
+        # More threads than cores and a short switch interval: an apply
+        # logged out of its apply order, or after its session's close,
+        # breaks the restart's equality with the live state.
+        live = self._durable(tmp_path)
+        kept, closed = sids = [live.start_dynamic(inst) for inst in INSTANCES]
+        clients = {sid: sorted(live.dynamic_session(sid).instance.tree.clients) for sid in sids}
+        churned = threading.Event()
+
+        def churn(k):
+            for step in range(10):
+                for sid in sids:
+                    client = clients[sid][(k + step) % len(clients[sid])]
+                    try:
+                        live.apply_events(sid, [DemandEvent(client, (k + step) % 6)])
+                    except UnknownSessionError:
+                        pass  # `closed`, closed under it
+                churned.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            assert churned.wait(timeout=30)
+            live.close_dynamic(closed)
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [s["session_id"] for s in live.dynamic_sessions()] == [kept]
+        self._assert_restart_matches(tmp_path, live)
 
 
 class TestStructuralDamage:

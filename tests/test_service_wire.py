@@ -414,9 +414,6 @@ def _responses() -> dict:
 
 def _state_dict_per_call(service: PlacementService) -> dict:
     """The snapshot state as built by calling ``to_wire()`` per entry."""
-    key_to_fp = {
-        key: inst_fp for inst_fp, keys in service._fp_index.items() for key in keys
-    }
     sessions = {}
     for sid, engine in service._sessions.items():
         instance, solver, failed = engine.checkpoint()
@@ -429,7 +426,7 @@ def _state_dict_per_call(service: PlacementService) -> dict:
         "schema": 1,
         "sessions": sessions,
         "cache": [
-            {"key": key, "instance_fp": key_to_fp.get(key, ""), "response": resp.to_wire()}
+            {"key": key, "response": resp.to_wire()}
             for key, resp in service._cache.entries()
         ],
     }
