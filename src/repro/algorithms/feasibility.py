@@ -187,7 +187,8 @@ class NodRoutes:
     served:
         The clients the replica at ``p`` serves (empty elsewhere).
     assignments:
-        ``(client, site) -> amount`` over every position.
+        ``(client, site) -> amount`` over every position.  Snapshot it
+        with ``assignments.copy()``: see :meth:`route`.
 
     Entries are tuples and a stored list is never mutated again, so a
     later :meth:`route` that re-routes only some positions reads the
@@ -195,12 +196,14 @@ class NodRoutes:
     over every position of a fresh memo.
     """
 
-    __slots__ = ("pending", "served", "assignments")
+    __slots__ = ("pending", "served", "assignments", "_deleted")
 
     def __init__(self, n: int) -> None:
         self.pending: List[Sequence[Tuple[int, int]]] = [()] * n
         self.served: List[Sequence[int]] = [()] * n
         self.assignments: Dict[Tuple[int, int], int] = {}
+        # Entries deleted from ``assignments`` since it was last built.
+        self._deleted = 0
 
     def route(
         self, ft: FlatTree, host: bytearray, W: int, positions: Iterable[int]
@@ -211,17 +214,28 @@ class NodRoutes:
         last routing must be listed with its whole root path; the rest
         keep their memo.  Returns ``False`` when entries are stranded at
         the root (the replica set cannot serve the demand).
+
+        ``assignments`` is rebuilt once the entries deleted from it
+        outnumber half the live ones.  ``dict.copy`` clones a dict's
+        table in one ``memcpy`` while at least 2/3 of its entries are
+        live, and re-inserts every key below that (``dict(m)`` does so
+        after any deletion), so the rebuild keeps each snapshot a clone
+        at an amortised cost.  The bound is CPython's, not a tuning
+        knob.  The rebuild keeps the insertion order.
         """
         pending = self.pending
         served = self.served
         assign = self.assignments
+        deleted = self._deleted
         post_to_orig = ft.post_to_orig
         demand = ft.demand
         first_child = ft.first_child
         next_sibling = ft.next_sibling
         for p in positions:
             v = post_to_orig[p]
-            for client in served[p]:
+            gone = served[p]
+            deleted += len(gone)
+            for client in gone:
                 del assign[(client, v)]
             c = first_child[p]
             if c < 0:
@@ -255,6 +269,10 @@ class NodRoutes:
             else:
                 served[p] = ()
             pending[p] = cur
+        if 2 * deleted > len(assign):
+            self.assignments = dict(assign)
+            deleted = 0
+        self._deleted = deleted
         return not pending[ft.root]
 
 

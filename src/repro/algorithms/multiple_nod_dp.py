@@ -294,7 +294,7 @@ def place(
     routes = memo.routes
     if not routes.route(ft, host, W, positions):  # pragma: no cover - contradicts DP feasibility
         raise PolicyError("DP replica set failed flow verification")
-    return Placement._trusted(frozenset(replicas), dict(routes.assignments))
+    return Placement._trusted(frozenset(replicas), routes.assignments.copy())
 
 
 @register_solver(

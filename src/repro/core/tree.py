@@ -56,12 +56,16 @@ class Topology:
     content key's packed ``parents`` and ``deltas`` columns
     (:func:`repro.core.instance.instance_fingerprint` fills it on first
     use), so a key of a demand copy packs only its ``requests``.
+    ``arity`` is :attr:`Tree.arity`, filled on first use, so solver
+    selection walks the children lists once per topology, not once per
+    demand copy.
     """
 
-    __slots__ = ("key_columns",)
+    __slots__ = ("key_columns", "arity")
 
     def __init__(self) -> None:
         self.key_columns: Optional[bytes] = None
+        self.arity: Optional[int] = None
 
 
 class Tree:
@@ -244,7 +248,10 @@ class Tree:
     @property
     def arity(self) -> int:
         """Maximum number of children over all nodes (``Δ``)."""
-        return max((len(c) for c in self._children), default=0)
+        topology = self._topology
+        if topology.arity is None:
+            topology.arity = max(map(len, self._children))
+        return topology.arity
 
     @property
     def is_binary(self) -> bool:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from ..core.errors import InfeasibleInstanceError, InvalidInstanceError, ReproError
@@ -67,7 +68,13 @@ MODE_FULL_RESOLVE = "full-resolve"
 
 @dataclass(frozen=True)
 class RepairOutcome:
-    """Result of folding one event batch into the standing placement."""
+    """Result of folding one event batch into the standing placement.
+
+    ``instance`` and ``failed`` are the snapshot the batch left the
+    engine with (the unchanged one for a rejected batch).  Its content
+    key, :attr:`fingerprint`, is computed on first read, so an apply
+    whose caller never asks for it costs no O(n) hash.
+    """
 
     ok: bool
     mode: str
@@ -78,7 +85,19 @@ class RepairOutcome:
     fallback_reason: Optional[str] = None
     stats: IncrementalStats = field(default_factory=IncrementalStats)
     error: Optional[str] = None
-    fingerprint: str = ""
+    instance: ProblemInstance = field(kw_only=True, compare=False, repr=False)
+    failed: FrozenSet[int] = field(kw_only=True, compare=False, repr=False)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content key of this outcome's snapshot and failed hosts
+        (:func:`~repro.core.instance.instance_fingerprint`).
+
+        It names the state this apply produced, whatever the engine
+        has applied since; the first read computes it, later reads
+        return the same string.
+        """
+        return instance_fingerprint(self.instance, self.failed)
 
     def describe(self) -> str:
         """One-line summary for logs and reports."""
@@ -232,8 +251,9 @@ class DynamicPlacement:
         """Content key of the current snapshot and its failed hosts
         (:func:`~repro.core.instance.instance_fingerprint`).
 
-        Memoized until the next batch changes the snapshot, so an
-        apply's ``outcome.fingerprint`` and later calls share one key.
+        Memoized until the next batch changes the snapshot.  An apply
+        does not compute it: its :class:`RepairOutcome` keys its own
+        snapshot on first read.
         """
         with self.lock:
             if self._key is None:
@@ -286,7 +306,8 @@ class DynamicPlacement:
                 events=events,
                 repair_s=time.perf_counter() - t0,
                 error=f"rejected batch: {type(exc).__name__}: {exc}",
-                fingerprint=self.fingerprint(),
+                instance=self._instance,
+                failed=self._failed,
             )
         self._instance, self._failed = instance, failed
         self._key = None
@@ -304,7 +325,8 @@ class DynamicPlacement:
                 events=events,
                 repair_s=time.perf_counter() - t0,
                 error=f"{type(exc).__name__}: {exc}",
-                fingerprint=self.fingerprint(),
+                instance=instance,
+                failed=failed,
             )
         if placement is None:
             self._placement = None
@@ -316,7 +338,8 @@ class DynamicPlacement:
                 repair_s=time.perf_counter() - t0,
                 fallback_reason=reason,
                 error="greedy repair could not reroute orphaned demand",
-                fingerprint=self.fingerprint(),
+                instance=instance,
+                failed=failed,
             )
         if mode != MODE_INCREMENTAL:
             self._fallbacks += 1
@@ -330,7 +353,8 @@ class DynamicPlacement:
             repair_s=time.perf_counter() - t0,
             fallback_reason=reason,
             stats=stats,
-            fingerprint=self.fingerprint(),
+            instance=instance,
+            failed=failed,
         )
 
     def resolve_full(self) -> Tuple[Optional[Placement], float]:

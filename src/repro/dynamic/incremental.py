@@ -38,8 +38,13 @@ and updates only the dirty part:
   and re-walks and re-routes only what the dirty root paths and the
   flipped replica flags reach.
 
-Each emits a fresh :class:`~repro.core.placement.Placement` over copies
-of its maps.  A tick whose root paths cover more than
+Each emits a fresh :class:`~repro.core.placement.Placement` over a
+``dict.copy`` of its ``(client, site) -> amount`` map, a clone of the
+table with no key hashed, and rebuilds that map once the entries
+deleted from it outnumber half the live ones: below that ``copy``
+would re-insert every key (:meth:`NodRoutes.route
+<repro.algorithms.feasibility.NodRoutes.route>`).  A tick whose root
+paths cover more than
 :data:`~repro.core.arrays.DENSE_FRACTION` of the nodes rebuilds that
 state whole instead — the cold code path with every position dirty.
 
@@ -261,9 +266,11 @@ class IncrementalSingleNod:
         self._contributions: List[Contribution] = []
         self._last: Optional[_FoldInputs] = None
         # The placement of those contributions: replica site -> number
-        # of contributions opening it, (client, site) -> amount.
+        # of contributions opening it, (client, site) -> amount, and the
+        # entries deleted from ``_amounts`` since it was last built.
         self._sites: Dict[int, int] = {}
         self._amounts: Dict[Tuple[int, int], int] = {}
+        self._deleted = 0
 
     # ------------------------------------------------------------------
     def solve(
@@ -334,16 +341,24 @@ class IncrementalSingleNod:
         if whole:
             single_fold(ft, W, exports, contributions, dirty)
             self._sites, self._amounts = sites, amounts = {}, {}
+            self._deleted = 0
             add(sites, amounts, contributions)
         else:
             sites, amounts = self._sites, self._amounts
-            _retract(sites, amounts, [contributions[p] for p in dirty])
+            self._deleted += _retract(
+                sites, amounts, [contributions[p] for p in dirty]
+            )
             single_fold(ft, W, exports, contributions, dirty)
             add(sites, amounts, [contributions[p] for p in dirty])
+            # Rebuilt past the bound NodRoutes.route explains, so the
+            # snapshot below stays a clone of the table.
+            if 2 * self._deleted > len(amounts):
+                self._amounts = amounts = dict(amounts)
+                self._deleted = 0
         self._last = (ft, W, failed)
 
         stats = IncrementalStats(n, n - len(dirty), len(dirty))
-        placement = Placement._trusted(frozenset(sites), dict(amounts))
+        placement = Placement._trusted(frozenset(sites), amounts.copy())
         return placement, stats
 
 
@@ -351,9 +366,13 @@ def _retract(
     sites: Dict[int, int],
     amounts: Dict[Tuple[int, int], int],
     contributions: List[Contribution],
-) -> None:
+) -> int:
     """Take the replicas of ``contributions`` back out of the placement
-    maps (the inverse of :func:`~repro.algorithms.single_nod.add`)."""
+    maps (the inverse of :func:`~repro.algorithms.single_nod.add`).
+
+    Returns the number of entries deleted from ``amounts``.
+    """
+    deleted = 0
     for contribution in contributions:
         for site, bundle in contribution:
             left = sites[site] - 1
@@ -368,3 +387,5 @@ def _retract(
                     amounts[key] = left
                 else:
                     del amounts[key]
+                    deleted += 1
+    return deleted

@@ -109,11 +109,6 @@ class ResultCache(Generic[V]):
         with self._lock:
             return list(self._data.items())
 
-    def clear(self) -> None:
-        """Drop every entry (counters are kept — they are lifetime stats)."""
-        with self._lock:
-            self._data.clear()
-
     def stats(self) -> CacheStats:
         """Immutable snapshot of size and lifetime counters."""
         with self._lock:

@@ -491,6 +491,60 @@ class TestMeshScaleParity:
 
         self._run(Policy.MULTIPLE, extra)
 
+    @pytest.mark.parametrize("policy", [Policy.SINGLE, Policy.MULTIPLE])
+    def test_rebuilt_maps_keep_emitted_placements(self, policy):
+        # Sparse ticks delete entries from the backend's live
+        # (client, site) -> amount map until it is rebuilt.  Every tick
+        # still equals a cold solve, every snapshot is a copy in the
+        # map's order, and no rebuild changes a placement handed out.
+        import numpy as np
+
+        from repro.core.arrays import DENSE_FRACTION
+        from repro.instances import isp_mesh
+
+        inst = isp_mesh(200, capacity=300, seed=5, policy=policy)
+        n = len(inst.tree)
+        clients = list(inst.tree.clients)
+        engine = DynamicPlacement(inst)
+        backend = engine._backend
+
+        def live():
+            """The live map and the entries deleted from it so far."""
+            if policy is Policy.SINGLE:
+                return backend._amounts, backend._deleted
+            routes = backend._memo.routes
+            return routes.assignments, routes._deleted
+
+        rng = np.random.default_rng(4)
+        rebuilds = 0
+        emitted = []
+        for _tick in range(120):
+            before, _deleted = live()
+            picked = rng.choice(len(clients), size=int(rng.integers(1, 9)),
+                                replace=False)
+            outcome = engine.apply([
+                DemandEvent(clients[i], int(rng.integers(20, 121)))
+                for i in picked
+            ])
+            assert outcome.ok and outcome.mode == MODE_INCREMENTAL
+            assert outcome.stats.nodes_recomputed <= DENSE_FRACTION * n
+            now = engine.instance
+            if policy is Policy.SINGLE:
+                assert outcome.placement == single_nod_reference(now)
+            else:
+                assert outcome.placement == multiple_nod_dp(now)
+            amounts, deleted = live()
+            rebuilds += amounts is not before
+            assert 2 * deleted <= len(amounts)
+            snapshot = outcome.placement._assignments
+            assert snapshot is not amounts and list(snapshot) == list(amounts)
+            placement = outcome.placement
+            emitted.append((placement, placement.replicas, placement.assignments))
+        assert rebuilds >= 3
+        for placement, replicas, assignments in emitted:
+            assert placement.replicas == replicas
+            assert placement.assignments == assignments
+
     def test_capacity_event_with_non_integral_w_rejects_the_batch(self):
         inst = random_tree(6, 12, capacity=8, dmax=None, seed=1)
         engine = DynamicPlacement(inst)

@@ -10,11 +10,15 @@ seeds the cache under the mutated instance's key.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
 
+import repro.replay.runner  # noqa: F401 - loaded before the keys are counted
 from repro import Policy
-from repro.dynamic import CapacityEvent, DemandEvent, FailureEvent
+from repro.core import instance as instance_module
+from repro.core.instance import instance_fingerprint
+from repro.dynamic import CapacityEvent, DemandEvent, DynamicPlacement, FailureEvent
 from repro.instances import random_tree
 from repro.instances.io import canonical_json, instance_to_dict
 from repro.service import (
@@ -36,6 +40,24 @@ def multiple_instance():
 def _bump_leaf_event(instance):
     c = sorted(instance.tree.clients)[0]
     return DemandEvent(c, (instance.tree.requests(c) + 1) % instance.capacity)
+
+
+def count_keys(monkeypatch):
+    """Count ``instance_fingerprint`` calls: patch it in every loaded
+    ``repro`` module that holds it; returns the list of call args."""
+    real = instance_module.instance_fingerprint
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and (
+            getattr(module, "instance_fingerprint", None) is real
+        ):
+            monkeypatch.setattr(module, "instance_fingerprint", counting)
+    return calls
 
 
 class TestDynamicSessions:
@@ -167,18 +189,7 @@ class TestCacheInvalidation:
         # mutated instance's content key, and the service seeds the
         # cache under it: one instance_fingerprint per apply, the
         # session's first included.
-        import repro.dynamic.engine as engine_module
-        import repro.service.facade as facade_module
-
-        calls = []
-        real = engine_module.instance_fingerprint
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "instance_fingerprint", counting)
-        monkeypatch.setattr(facade_module, "instance_fingerprint", counting)
+        calls = count_keys(monkeypatch)
         client = sorted(multiple_instance.tree.clients)[0]
         with PlacementService() as svc:
             sid = svc.start_dynamic(multiple_instance)
@@ -188,6 +199,75 @@ class TestCacheInvalidation:
                 assert outcome.ok and len(calls) == 1
             mutated = svc.dynamic_session(sid).instance
             assert svc.solve_instance(mutated, "multiple-nod-dp").diagnostics.cache_hit
+
+
+def _batches(instance):
+    """One batch per kind of outcome, each changing the engine's state
+    (but the rejected one), and a follow-up batch that changes it."""
+    tree = instance.tree
+    client, other = sorted(tree.clients)[:2]
+    internal = tree.internal_nodes[1]
+    return {
+        "ok": [DemandEvent(client, 3)],
+        # An internal node carries no requests: the whole batch is
+        # rejected and the snapshot stays as it was.
+        "rejected": [DemandEvent(client, 3), DemandEvent(internal, 1)],
+        "failed-host": [FailureEvent(internal)],
+        # More than the whole tree can hold: the repair fails.
+        "failed-repair": [DemandEvent(client, instance.capacity * len(tree))],
+    }, [DemandEvent(other, 5)]
+
+
+class TestApplyContentKey:
+    """An apply computes no content key; its outcome keys its own
+    snapshot on first read, even after later applies."""
+
+    def test_apply_computes_no_key(self, multiple_instance, monkeypatch):
+        engine = DynamicPlacement(multiple_instance)
+        calls = count_keys(monkeypatch)
+        batches, follow_up = _batches(multiple_instance)
+        outcomes = [engine.apply(b) for b in (*batches.values(), follow_up)]
+        assert [o.ok for o in outcomes] == [True, False, True, False, False]
+        assert engine.failed_hosts
+        assert calls == []
+
+    def test_replay_keys_only_its_input(self, monkeypatch):
+        from repro.replay import run_replay
+
+        instance = random_tree(10, 24, capacity=30, dmax=None, seed=3)
+        calls = count_keys(monkeypatch)
+        result = run_replay(instance, "diurnal+flash", horizon=6, seed=1)
+        assert len(result.rows) == 6 and result.checks_run
+        # The run names its input instance; no tick adds a key.
+        assert [args[0] for args in calls] == [instance]
+
+    @pytest.mark.parametrize(
+        "kind", ["ok", "rejected", "failed-host", "failed-repair"]
+    )
+    def test_outcome_keys_its_own_apply(self, multiple_instance, kind):
+        engine = DynamicPlacement(multiple_instance)
+        batches, follow_up = _batches(multiple_instance)
+        first = engine.apply(batches[kind])
+        assert first.ok == (kind in ("ok", "failed-host"))
+        state = engine.instance, engine.failed_hosts
+        if kind == "rejected":
+            assert state == (multiple_instance, frozenset())
+        engine.apply(follow_up)
+        # Read only now, after a second apply changed the engine.
+        assert first.fingerprint == instance_fingerprint(*state)
+        assert first.fingerprint != engine.fingerprint()
+
+    def test_service_apply_keys_its_own_state(self, multiple_instance):
+        batches, follow_up = _batches(multiple_instance)
+        with PlacementService() as svc:
+            sid = svc.start_dynamic(multiple_instance)
+            engine = svc.dynamic_session(sid)
+            applied = [
+                (svc.apply_events(sid, batch), engine.instance, engine.failed_hosts)
+                for batch in (*batches.values(), follow_up)
+            ]
+        for outcome, instance, failed in applied:
+            assert outcome.fingerprint == instance_fingerprint(instance, failed)
 
 
 class TestStateFromBeforeTheContentKey:

@@ -75,14 +75,6 @@ class TestResultCache:
         assert c.get("a") is None
         assert len(c) == 0
 
-    def test_clear_keeps_lifetime_counters(self):
-        c = ResultCache(max_entries=4)
-        c.put("a", 1)
-        c.get("a")
-        c.clear()
-        assert len(c) == 0
-        assert c.stats().hits == 1
-
     def test_hit_rate(self):
         c = ResultCache(max_entries=4)
         assert c.stats().hit_rate == 0.0

@@ -11,7 +11,9 @@ import urllib.request
 
 import pytest
 
-from repro import Placement, ProblemInstance, Tree, check_placement
+from repro import Placement, Policy, ProblemInstance, Tree, check_placement
+from repro.core.errors import InvalidInstanceError
+from repro.dynamic import DemandEvent, FailureEvent, apply_events_batch, event_to_wire
 from repro.instances import random_tree
 from repro.instances.io import instance_to_dict
 from repro.service import PlacementService, SolveRequest, SolveResponse, make_server
@@ -258,6 +260,45 @@ class TestRouting:
         stats = _get(base_url + "/v1/healthz")["stats"]
         assert stats["requests"] >= 1
         assert stats["by_status"].get("ok", 0) >= 1
+
+
+class TestDynamicApplyKey:
+    def test_apply_answers_its_own_content_key(self, base_url):
+        inst = random_tree(8, 16, capacity=6, dmax=None, seed=7).with_policy(
+            Policy.MULTIPLE
+        )
+        tree = inst.tree
+        client, other = sorted(tree.clients)[:2]
+        internal = tree.internal_nodes[1]
+        started = _post(
+            base_url + "/v1/dynamic/start",
+            {"schema": 1, "instance": instance_to_dict(inst)},
+        )
+        sid = started["session_id"]
+        assert started["fingerprint"] == instance_fingerprint(inst)
+        # The expected state is folded here, apart from the daemon.
+        state, failed = inst, frozenset()
+        for batch, ok in (
+            ([DemandEvent(client, 3)], True),
+            ([DemandEvent(internal, 1)], False),  # rejected whole
+            ([FailureEvent(internal)], True),
+            ([DemandEvent(other, 5)], True),
+        ):
+            answer = _post(
+                base_url + "/v1/dynamic/apply",
+                {
+                    "schema": 1,
+                    "session_id": sid,
+                    "events": [event_to_wire(e) for e in batch],
+                },
+            )
+            try:
+                state, newly_failed = apply_events_batch(state, batch)
+                failed |= newly_failed
+            except InvalidInstanceError:
+                pass
+            assert answer["ok"] is ok
+            assert answer["fingerprint"] == instance_fingerprint(state, failed)
 
 
 class TestSessionOwner:

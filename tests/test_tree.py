@@ -278,6 +278,21 @@ class TestCopiesAndEquality:
         assert t2._topology is t._topology
         assert t.requests(leaf) == requests[leaf] - 5  # original untouched
 
+    def test_demand_copy_reads_arity_without_a_walk(self):
+        b = TreeBuilder()
+        r = b.add_root()
+        leaves = [b.add(r, requests=1) for _ in range(3)]
+        t = b.build()
+        assert t.arity == 3
+
+        class NoWalk(tuple):
+            def __iter__(self):
+                raise AssertionError("arity walked the children lists")
+
+        copy = t.with_demands({leaves[0]: 4})
+        copy._children = NoWalk(copy._children)
+        assert copy.arity == 3 and not copy.is_binary
+
     def test_with_demands_checks_the_changed_entries(self, paper_example):
         t = paper_example.tree
         leaf = t.clients[0]
