@@ -12,6 +12,10 @@ pointer-walking formulations **verbatim** for two purposes:
    on the pinned corpus and records the speedup in every
    ``BENCH_*.json`` snapshot (see ``docs/performance.md``).
 
+:data:`REFERENCE_PAIRS` names each registered solver's reference; the
+conformance harness's flat-reference invariant and ``repro bench`` both
+read it.
+
 None of these register with the solver registry: they are baselines,
 not production entry points.  Do not "fix" or optimise them — their
 whole value is staying exactly what the registered solvers used to be.
@@ -21,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import InfeasibleInstanceError, PolicyError
 from ..core.instance import ProblemInstance
 from ..core.placement import Placement
 
 __all__ = [
+    "REFERENCE_PAIRS",
     "multiple_nod_dp_reference",
     "single_nod_reference",
     "multiple_greedy_reference",
@@ -340,3 +345,11 @@ def multiple_greedy_reference(instance: ProblemInstance) -> Placement:
 
     replicas = [v for v in range(n) if in_R[v]]
     return Placement(replicas, assignments)
+
+
+#: Registered flat-path solver -> its preserved object-graph reference.
+REFERENCE_PAIRS: Dict[str, Callable[[ProblemInstance], Placement]] = {
+    "multiple-nod-dp": multiple_nod_dp_reference,
+    "single-nod": single_nod_reference,
+    "multiple-greedy": multiple_greedy_reference,
+}

@@ -60,6 +60,7 @@ from itertools import cycle
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..algorithms.reference import REFERENCE_PAIRS
 from ..core.arrays import flat_cache_stats
 from ..core.instance import ProblemInstance
 from ..core.policies import Policy
@@ -89,22 +90,6 @@ SERVICE_HIT = "service-hit"
 
 #: Shortest timing sample, in seconds (see "Timing" above).
 SAMPLE_S = 0.02
-
-#: (registered solver, reference implementation) pairs timed head-to-head.
-_REFERENCE_OF = {
-    "multiple-nod-dp": "multiple_nod_dp_reference",
-    "single-nod": "single_nod_reference",
-    "multiple-greedy": "multiple_greedy_reference",
-}
-
-def _reference_fn(solver: str) -> Optional[Callable[[ProblemInstance], object]]:
-    name = _REFERENCE_OF.get(solver)
-    if name is None:
-        return None
-    from ..algorithms import reference
-
-    return getattr(reference, name)
-
 
 def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List[str]]]:
     """The pinned benchmark corpus for ``profile``.
@@ -346,7 +331,7 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                 "throughput_nps": n_nodes / wall if wall > 0 else None,
                 "n_replicas": _n_replicas(result),
             })
-            ref = _reference_fn(solver)
+            ref = REFERENCE_PAIRS.get(solver)
             if ref is not None:
                 ref_wall, ref_placement, _calls, _cal = _time_best(
                     partial(ref, inst), repeats

@@ -358,7 +358,7 @@ def _cmd_simulate_replay(args: argparse.Namespace) -> int:
     if args.quick:
         horizon = min(horizon, 12)
         sample = min(sample, 128)
-        check_every = min(check_every or 4, 4)
+        check_every = min(check_every, 4)
     return _run_replay_cli(
         args, "--replay", inst, args.trace,
         horizon=horizon,
@@ -1051,10 +1051,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rate-scale", type=_positive_float, default=1.0,
                      help="replay: global multiplier on base demand")
     sim.add_argument("--check-every", type=_nonnegative_int, default=None,
-                     help="replay/online: audit period in ticks — sampled "
-                     "invariants, and a cold re-solve of incremental "
-                     "ticks for the parity check (default 8 for "
-                     "--replay, every step for --online; 0 disables)")
+                     help="replay/online: audit period in ticks — the "
+                     "checker on a client sample, and a cold re-solve of "
+                     "incremental ticks for the parity check (default 8 "
+                     "for --replay, at most 4 with --quick, every step "
+                     "for --online; 0 disables)")
     sim.add_argument("--sample", type=_positive_int, default=256,
                      help="replay/online: client sample size for latency "
                      "and invariant checks")

@@ -23,12 +23,12 @@ routing
 failover
     A worker that refuses connections, times out or answers 5xx is
     retried against the next ring successor with bounded exponential
-    backoff (``backoff_base * 2^attempt``, capped), for
-    :data:`RETRY_ROUNDS` passes.  Safe for ``/v1/solve`` because solving
-    is deterministic and idempotent; session traffic runs the same loop
-    over its one owner, so it never moves to another worker.  4xx
-    responses are the *caller's* fault and are relayed verbatim, never
-    retried.
+    backoff (:data:`BACKOFF_BASE_S` ``* 2^attempt``, capped at
+    :data:`BACKOFF_CAP_S`), for :data:`RETRY_ROUNDS` passes.  Safe for
+    ``/v1/solve`` because solving is deterministic and idempotent;
+    session traffic runs the same loop over its one owner, so it never
+    moves to another worker.  4xx responses are the *caller's* fault
+    and are relayed verbatim, never retried.
 
 health
     A background prober hits every worker's ``/v1/healthz`` each
@@ -76,6 +76,12 @@ PROBE_TIMEOUT_S = 5.0
 
 #: Passes the failover loop makes over a request's workers.
 RETRY_ROUNDS = 2
+
+#: Seconds slept after the first failed attempt; doubles per attempt.
+BACKOFF_BASE_S = 0.05
+
+#: Longest sleep between two attempts, in seconds.
+BACKOFF_CAP_S = 0.5
 
 
 def _route_key(payload: object) -> str:
@@ -276,14 +282,10 @@ class RouterServer(JSONServer):
         state: ClusterState,
         *,
         probe_interval: float = 1.0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 0.5,
         verbose: bool = False,
     ) -> None:
         super().__init__(address, _RouterHandler)
         self.state = state
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.verbose = verbose
         self.prober = _Prober(state, probe_interval)
 
@@ -336,24 +338,21 @@ class _RouterHandler(JSONHandler):
 
         Walks ``workers()`` — a key's ring successors, or a session's
         owner alone — for :data:`RETRY_ROUNDS` rounds, sleeping
-        ``backoff_base * 2^attempt`` (capped at ``backoff_cap``)
+        ``BACKOFF_BASE_S * 2^attempt`` (capped at :data:`BACKOFF_CAP_S`)
         between consecutive failures.  A worker that answers — any
         status — ends the walk: HTTP-level errors from a healthy worker
         are the upstream's verdict, 5xx excepted, which triggers
         failover like a transport failure.
         """
-        server = self.server
-        state = server.state
+        state = self.server.state
         attempt = 0
         last_error = "no workers configured"
         for _round in range(RETRY_ROUNDS):
             for worker in workers():
                 if attempt:
-                    delay = min(
-                        server.backoff_cap,
-                        server.backoff_base * (2 ** (attempt - 1)),
+                    time.sleep(
+                        min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (attempt - 1))
                     )
-                    time.sleep(delay)
                 attempt += 1
                 try:
                     status, payload = self._forward_once(worker, path, body)
@@ -452,8 +451,6 @@ def make_router(
     workers: Dict[str, str],
     down_after: int = 2,
     probe_interval: float = 1.0,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 0.5,
     verbose: bool = False,
 ) -> RouterServer:
     """Build (but do not start) a router bound to ``host:port``.
@@ -469,7 +466,5 @@ def make_router(
         (host, port),
         state,
         probe_interval=probe_interval,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
         verbose=verbose,
     )

@@ -5,7 +5,7 @@ traffic: composable demand traces (:mod:`~repro.replay.traces`),
 multi-tenant catalogues (:mod:`~repro.replay.tenants`) and the replay
 runner (:mod:`~repro.replay.runner`) that drives the dynamic engine —
 or the per-tenant service cache — tick by tick, auditing the standing
-placement with sampled stress invariants along the way.
+placement with the independent checker on a client sample along the way.
 
 Entry points: ``repro simulate --replay`` on the CLI,
 :func:`run_replay` in process, and

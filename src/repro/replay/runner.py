@@ -30,13 +30,13 @@ instance and a trace, it drives one of two paths:
   period the service answers from the per-tenant cache — the recorded
   hit rate is the point of the mode.
 
-Every ``check_every`` ticks an audit runs: the sampled stress
-invariants (:func:`repro.scenarios.sampled_violations`) check the
-standing placement, and a tick the engine repaired in ``incremental``
-mode is also re-solved cold (:meth:`DynamicPlacement.resolve_full`) —
-a cost that differs from the incremental one is an
-``incremental-parity`` violation.  Violations are carried in the result
-and fail the CLI run.
+Every ``check_every`` ticks an audit runs: the independent checker on
+a seeded client sample (:func:`repro.scenarios.sampled_violations`)
+checks the standing placement, and a tick the engine repaired in
+``incremental`` mode is also re-solved cold
+(:meth:`DynamicPlacement.resolve_full`) — a cost that differs from the
+incremental one is an ``incremental-parity`` violation.  Violations
+are carried in the result and fail the CLI run.
 
 Everything is deterministic per ``(instance, trace, horizon, seed,
 tenants, solver, rate_scale)``; :meth:`ReplayResult.fingerprint` hashes
@@ -64,8 +64,7 @@ from ..dynamic import (
     event_to_wire,
 )
 from ..instances.io import canonical_json
-from ..scenarios.invariants import Violation
-from ..scenarios.sampled import sampled_violations
+from ..scenarios.invariants import Violation, sampled_violations
 from .traces import DemandTrace, make_trace
 
 __all__ = ["TickRow", "ReplayResult", "run_replay"]
@@ -254,8 +253,8 @@ def run_replay(
         Global multiplier on base demand (must be positive; demand
         traces only).
     check_every:
-        Audit every this many ticks (``0`` disables): sampled
-        invariants, plus a cold re-solve of an ``incremental`` tick.
+        Audit every this many ticks (``0`` disables): the checker on
+        a client sample, plus a cold re-solve of an ``incremental`` tick.
     sample:
         Client-sample size for latency and invariant checks.
     trace_params:

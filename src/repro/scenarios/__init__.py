@@ -45,8 +45,8 @@ from .invariants import (
     check_feasibility,
     check_flat_reference_identity,
     check_incremental_parity,
+    sampled_violations,
 )
-from .sampled import sampled_violations
 from .traces import failure_storm_trace
 
 __all__ = [

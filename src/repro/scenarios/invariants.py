@@ -22,20 +22,22 @@ they share a bug; these checks instead assert properties that hold for
 
 Each check returns a list of :class:`Violation` rows; an empty list
 means the invariant held.  The harness (:mod:`repro.scenarios.harness`)
-runs them over the scenario grid.
+runs them over the scenario grid.  :func:`sampled_violations` reports
+the independent checker's findings in the same rows, so stress and
+replay reports render identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..algorithms.reference import (
-    multiple_greedy_reference,
-    multiple_nod_dp_reference,
-    single_nod_reference,
-)
+import numpy as np
+
+from ..algorithms.reference import REFERENCE_PAIRS
 from ..core.instance import ProblemInstance
+from ..core.placement import Placement
+from ..core.validation import iter_violations
 from ..runner import registry
 from ..runner.result import SolveResult, Status
 
@@ -48,6 +50,7 @@ __all__ = [
     "check_demand_monotonicity",
     "check_flat_reference_identity",
     "check_incremental_parity",
+    "sampled_violations",
 ]
 
 
@@ -80,12 +83,38 @@ INVARIANTS = (
     "incremental-parity",
 )
 
-#: Flat-path registered solver -> preserved object-graph reference.
-REFERENCE_PAIRS: Dict[str, Callable[[ProblemInstance], object]] = {
-    "multiple-nod-dp": multiple_nod_dp_reference,
-    "single-nod": single_nod_reference,
-    "multiple-greedy": multiple_greedy_reference,
-}
+
+def sampled_violations(
+    instance: ProblemInstance,
+    placement: Placement,
+    *,
+    seed: int = 0,
+    max_clients: int = 256,
+    cell: str = "replay",
+    solver: str = "-",
+) -> List[Violation]:
+    """The independent checker on a seeded sample of clients.
+
+    Replica ids, every assignment's keys, registration and capacity are
+    checked over the whole placement; completeness, policy, ancestry
+    and distance for at most ``max_clients`` clients drawn
+    deterministically from ``seed`` (see
+    :func:`repro.core.validation.iter_violations`).  A clean sample is
+    evidence, not proof; with ``max_clients`` at or above the client
+    count it is the full check.  Returns one :class:`Violation` per
+    finding, its ``invariant`` the checker's rule name.
+    """
+    if max_clients <= 0:
+        raise ValueError(f"max_clients must be positive, got {max_clients}")
+    clients = instance.tree.clients
+    if len(clients) > max_clients:
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(clients), size=max_clients, replace=False)
+        clients = [clients[int(i)] for i in sorted(idx)]
+    return [
+        Violation(invariant=rule, cell=cell, solver=solver, detail=message)
+        for rule, message in iter_violations(instance, placement, clients)
+    ]
 
 
 def check_feasibility(cell: str, results: Sequence[SolveResult]) -> List[Violation]:
@@ -264,7 +293,7 @@ def check_incremental_parity(
     the engine repaired in ``incremental`` mode is re-solved cold, and a
     differing cost is an ``incremental-parity`` violation.  Fallback and
     failed-repair ticks are legitimate outcomes and are not violations;
-    the sampled invariants audit every tick's placement too.  Returns
+    the sampled checker audits every tick's placement too.  Returns
     the run's violations, their cells prefixed with ``cell``.
     """
     # Imported here: the replay runner imports this module.

@@ -10,7 +10,6 @@ greedy failure repair lives in :mod:`repro.dynamic.repair` (see
 """
 
 from .engine import SimulationResult, simulate
-from .events import EventQueue
 from .metrics import ascii_histogram, latency_histogram, utilisation_table
 from .workload import (
     Request,
@@ -21,7 +20,6 @@ from .workload import (
 )
 
 __all__ = [
-    "EventQueue",
     "Request",
     "deterministic_trace",
     "poisson_trace",

@@ -17,12 +17,12 @@ safety margin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.errors import InvalidPlacementError
 from ..core.instance import ProblemInstance
 from ..core.placement import Placement
-from .events import EventQueue
 from .workload import Request
 
 __all__ = ["SimulationResult", "simulate"]
@@ -130,11 +130,14 @@ def simulate(
         s: [0] * horizon for s in placement.replicas
     }
 
-    q = EventQueue()
-    for req in trace:
-        q.push(req.time, req)
-    for t, req in q.drain():
-        unit = min(int(t), horizon - 1)
+    # A stable sort: requests at the same time are served in trace order.
+    ordered = sorted(trace, key=attrgetter("time"))
+    if ordered and ordered[0].time < 0:
+        raise ValueError(
+            f"request time must be non-negative, got {ordered[0].time}"
+        )
+    for req in ordered:
+        unit = min(int(req.time), horizon - 1)
         server = routers[req.client].next()
         loads[server][unit] += 1
         result.latencies.append(distance(req.client, server))

@@ -1,11 +1,11 @@
 """Atomic service-state snapshot files.
 
-A snapshot is the service's materialised state (open dynamic sessions,
-result-cache entries, the session-id counter) as of one WAL sequence
-number ``S``, serialised as one JSON document and written atomically —
-temp file, ``fsync``, :func:`os.replace`, directory ``fsync`` — so a
-crash at any instant leaves either the previous snapshot or the new one,
-never a torn file.  The filename carries the sequence number
+A snapshot is the service's materialised state (open dynamic sessions
+and result-cache entries) as of one WAL sequence number ``S``,
+serialised as one JSON document and written atomically — temp file,
+``fsync``, :func:`os.replace`, directory ``fsync`` — so a crash at any
+instant leaves either the previous snapshot or the new one, never a
+torn file.  The filename carries the sequence number
 (``snapshot-<seq 16 digits>.json``), so the newest snapshot is found by
 name alone and recovery can check the snapshot/log sequence relationship
 before trusting either.

@@ -145,9 +145,9 @@ class StateStore:
 
         Idempotent per store instance (second call raises).  Returns the
         newest snapshot state (if any) plus every decoded record newer
-        than it, in sequence order — the caller replays them and then
-        calls :meth:`note_applied` is *not* required for replayed
-        records (the store treats everything recovered as applied).
+        than it, in sequence order.  The caller replays them without
+        calling :meth:`note_applied`: the store treats every recovered
+        record as applied.
 
         Raises
         ------

@@ -30,6 +30,7 @@ from repro.cluster import (
     request_mix,
     run_loadtest,
 )
+from repro.cluster import router as router_module
 from repro.cluster.workers import ClusterManager
 from repro.service import SolveRequest
 from repro.service.fingerprint import instance_fingerprint
@@ -38,8 +39,10 @@ N_WORKERS = 3
 
 
 @pytest.fixture()
-def cluster(tmp_path):
+def cluster(tmp_path, monkeypatch):
     """3 durable subprocess workers + an in-thread router."""
+    monkeypatch.setattr(router_module, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(router_module, "BACKOFF_CAP_S", 0.05)
     manager = ClusterManager(
         N_WORKERS, str(tmp_path / "state"), snapshot_interval=8
     )
@@ -48,8 +51,6 @@ def cluster(tmp_path):
         0,
         workers=manager.urls(),
         down_after=1,           # eject on the first failure: fast failover
-        backoff_base=0.01,
-        backoff_cap=0.05,
         probe_interval=0.2,
     )
     thread = threading.Thread(target=router.serve_forever, daemon=True)

@@ -21,6 +21,7 @@ import urllib.request
 import pytest
 
 from repro.cluster import WORKER_HEADER, ClusterState, HashRing, make_router
+from repro.cluster import router as router_module
 from repro.cluster.router import RETRY_ROUNDS
 from repro.instances import caterpillar, random_tree, star
 from repro.service import SolveRequest, make_server
@@ -42,8 +43,10 @@ def _url(server) -> str:
 
 
 @pytest.fixture()
-def cluster():
+def cluster(monkeypatch):
     """Router + 3 in-thread workers; yields (router_server, workers)."""
+    monkeypatch.setattr(router_module, "BACKOFF_BASE_S", 0.001)
+    monkeypatch.setattr(router_module, "BACKOFF_CAP_S", 0.002)
     workers = {}
     servers = {}
     for i in range(N_WORKERS):
@@ -57,8 +60,6 @@ def cluster():
         0,
         workers=workers,
         down_after=2,
-        backoff_base=0.001,
-        backoff_cap=0.002,
     )
     _start(router)
     try:

@@ -277,6 +277,26 @@ class TestSampledInvariants:
             )
 
 
+class TestSampledAuditKeys:
+    """The sampled audit checks every assignment key, sampled or not."""
+
+    @pytest.mark.parametrize("max_clients", [1, 4, 10**6])
+    def test_bogus_client_keys_reported(self, max_clients):
+        from repro.algorithms import single_nod
+        from repro.core.placement import Placement
+
+        inst = isp_mesh(40, capacity=300, seed=3)
+        good = single_nod(inst)
+        root = inst.tree.root
+        extra = {(1, root): 1, (10**6, root): 1}
+        assert not inst.tree.is_leaf(1)
+        bad = Placement(good.replicas, {**good.assignments, **extra})
+        out = sampled_violations(inst, bad, seed=0, max_clients=max_clients)
+        details = [v.detail for v in out if v.invariant == "completeness"]
+        assert "assignment client 1 is not a leaf client" in details
+        assert f"assignment client {10**6} is not a leaf client" in details
+
+
 class TestRunReplay:
     def test_engine_mode_deterministic_fingerprint(self, small_mesh):
         a = run_replay(small_mesh, "diurnal+flash", horizon=10, seed=2,
@@ -363,6 +383,17 @@ class TestReplayCli:
         assert rep["summary"]["invariant_violations"] == 0
         assert rep["run"]["trace"] == "diurnal+flash"
         assert capsys.readouterr().err.count("fingerprint") == 1
+
+    def test_quick_check_every_zero_disables_audits(self, mesh_file, tmp_path):
+        out = str(tmp_path / "report.json")
+        rc = main([
+            "simulate", mesh_file, "--replay", "--quick", "--seed", "1",
+            "--check-every", "0", "--json", out,
+        ])
+        assert rc == 0
+        with open(out, encoding="utf-8") as fh:
+            summary = json.load(fh)["summary"]
+        assert summary["invariant_checks"] == summary["parity_checks"] == 0
 
     def test_unknown_trace_rc2(self, mesh_file, capsys):
         rc = main(["simulate", mesh_file, "--replay", "--trace", "wat"])

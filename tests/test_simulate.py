@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Policy
+from repro import Placement, Policy
 from repro.algorithms import multiple_bin, single_gen
 from repro.instances import random_binary_tree, random_tree
 from repro.simulate import (
-    EventQueue,
     Request,
     deterministic_trace,
     iter_units,
@@ -18,31 +17,27 @@ from repro.simulate import (
 )
 
 
-class TestEventQueue:
-    def test_time_ordering(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [p for _, p in q.drain()] == ["a", "b", "c"]
+class TestSimulateOrder:
+    """``simulate`` serves requests in time order, ties in trace order."""
 
-    def test_fifo_ties(self):
-        q = EventQueue()
-        for name in "abc":
-            q.push(1.0, name)
-        assert [p for _, p in q.drain()] == ["a", "b", "c"]
+    @staticmethod
+    def _latencies(paper_example, trace):
+        # Clients 3, 4 and 5 are served at distances 1, 2 and 3.
+        p = Placement([0, 1, 2], {(3, 1): 4, (4, 1): 3, (5, 0): 5, (6, 2): 2})
+        return simulate(paper_example, p, trace, horizon=4).latencies
 
-    def test_negative_time_rejected(self):
-        q = EventQueue()
+    def test_time_ordering(self, paper_example):
+        trace = [Request(3.0, 5), Request(1.0, 3), Request(2.0, 4)]
+        assert self._latencies(paper_example, trace) == [1.0, 2.0, 3.0]
+
+    def test_fifo_ties(self, paper_example):
+        trace = [Request(1.0, 4), Request(1.0, 5), Request(1.0, 3)]
+        assert self._latencies(paper_example, trace) == [2.0, 3.0, 1.0]
+
+    def test_negative_time_rejected(self, paper_example):
+        # Unchecked, int(-1.0) would index the last unit window.
         with pytest.raises(ValueError):
-            q.push(-1.0, "x")
-
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q and len(q) == 0
-        q.push(0.0, "x")
-        assert q and len(q) == 1
-        assert q.peek_time() == 0.0
+            self._latencies(paper_example, [Request(0.5, 3), Request(-1.0, 4)])
 
 
 class TestTraces:

@@ -8,10 +8,14 @@ from repro import (
     InvalidPlacementError,
     Placement,
     Policy,
+    ProblemInstance,
     check_placement,
     is_valid,
     placement_violations,
 )
+from repro.algorithms import single_gen
+from repro.core.validation import iter_violations
+from repro.scenarios import FAMILIES, build_scenario
 
 
 def valid_placement(paper_example):
@@ -141,3 +145,59 @@ class TestViolationDetection:
             {(3, 1): 4, (4, 1): 3, (5, 2): 5, (6, 2): 2},
         )
         assert is_valid(paper_example, p)
+
+
+def _mutants(tree, placement):
+    """``placement`` and one corruption of it per constraint."""
+    root = tree.root
+    amap = placement.assignments
+    (c, s), amount = sorted(amap.items())[0]
+    others = {k: v for k, v in amap.items() if k != (c, s)}
+    stranger = next(v for v in tree.clients if v != c)
+    yield placement
+    # completeness: a client loses its assignment; a non-client gains one
+    yield Placement(placement.replicas, others)
+    yield Placement(placement.replicas, {**amap, (root, root): 1, (10**6, s): 1})
+    # ancestry: another client serves c
+    yield Placement(placement.replicas | {stranger}, {**others, (c, stranger): amount})
+    # policy and capacity: c split with the root, then everyone at the root
+    if amount > 1 and s != root:
+        yield Placement(placement.replicas | {root}, {**others, (c, s): 1, (c, root): amount - 1})
+    yield Placement({root}, {(v, root): tree.requests(v) for v in tree.clients if tree.requests(v)})
+    # registration: a used server leaves R, and a replica is no node
+    yield Placement((placement.replicas - {s}) | {len(tree)}, amap)
+
+
+class TestClientSample:
+    """Auditing every client by name is the full check; a sample checks less."""
+
+    RULES = {"completeness", "policy", "ancestry", "distance", "capacity", "registration"}
+
+    def _cases(self):
+        for family in sorted(FAMILIES):
+            for policy in (Policy.SINGLE, Policy.MULTIPLE):
+                base = build_scenario(family, size=14, capacity=10, seed=2, policy=policy)
+                placement = single_gen(base)
+                assert placement_violations(base, placement) == []
+                tight = ProblemInstance(base.tree, base.capacity, 1.0, policy)
+                for inst in (base, tight):
+                    for p in _mutants(base.tree, placement):
+                        yield inst, p
+
+    def test_all_clients_equals_full_check(self):
+        seen = set()
+        for inst, p in self._cases():
+            full = placement_violations(inst, p)
+            assert placement_violations(inst, p, clients=inst.tree.clients) == full
+            seen.update(rule for rule, _message in iter_violations(inst, p))
+        assert seen == self.RULES
+
+    def test_sample_keeps_whole_placement_rules(self):
+        whole = {"registration", "capacity"}
+        for inst, p in self._cases():
+            full = list(iter_violations(inst, p))
+            part = list(iter_violations(inst, p, clients=inst.tree.clients[::3]))
+            assert set(part) <= set(full)
+            assert [f for f in full if f[0] in whole] == [f for f in part if f[0] in whole]
+            keys = [f for f in full if "not a leaf client" in f[1]]
+            assert keys == [f for f in part if "not a leaf client" in f[1]]
