@@ -30,10 +30,11 @@ object-graph baseline with bit-identical placements (see
 ``docs/performance.md`` and the equivalence property tests in
 ``tests/test_arrays.py``).  The quick and full profiles also time the
 dynamic engine's tick: a 1-event ``DynamicPlacement.apply`` on the
-9544-node ISP mesh, per policy (solver name :data:`TICK`), and a
-service cache hit on the same mesh, from request body bytes to response
-bytes as the daemon answers ``/v1/solve`` (solver name
-:data:`SERVICE_HIT`); the smoke profile runs both on a 40-POP mesh.
+9544-node ISP mesh, per policy (solver name :data:`TICK`), a service
+cache hit on the same mesh, from request body bytes to response bytes
+as the daemon answers ``/v1/solve`` (solver name :data:`SERVICE_HIT`),
+and a cache miss the same way (solver name :data:`SERVICE_MISS`); the
+smoke profile runs all three on a 40-POP mesh.
 
 Timing
 ------
@@ -88,6 +89,10 @@ TICK = "dynamic-apply"
 #: answered by :meth:`~repro.service.PlacementService.solve_wire`.
 SERVICE_HIT = "service-hit"
 
+#: Pseudo-solver of the wire-miss entries: an uncached ``/v1/solve``
+#: body, decoded, solved, checked and encoded by ``solve_wire``.
+SERVICE_MISS = "service-miss"
+
 #: Shortest timing sample, in seconds (see "Timing" above).
 SAMPLE_S = 0.02
 
@@ -126,6 +131,7 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
             ("smoke-mesh-single", mesh, [TICK]),
             ("smoke-mesh-multi", mesh.with_policy(Policy.MULTIPLE), [TICK]),
             ("smoke-mesh-wire", mesh, [SERVICE_HIT]),
+            ("smoke-mesh-miss", mesh, [SERVICE_MISS]),
         ]
     if profile not in ("full", "quick"):
         raise ValueError(f"unknown bench profile {profile!r}")
@@ -147,6 +153,7 @@ def bench_corpus(profile: str = "full") -> List[Tuple[str, ProblemInstance, List
         ("mesh-single", mesh, [TICK]),
         ("mesh-multi", mesh.with_policy(Policy.MULTIPLE), [TICK]),
         ("mesh-wire", mesh, [SERVICE_HIT]),
+        ("mesh-miss", mesh, [SERVICE_MISS]),
     ]
     if profile == "full":
         d220 = random_tree(
@@ -264,6 +271,44 @@ def _service_hit(instance: ProblemInstance) -> Callable[[], bytes]:
     return answer
 
 
+def _service_miss(instance: ProblemInstance) -> Callable[[], bytes]:
+    """A call that answers one uncached ``/v1/solve`` body.
+
+    As :func:`_service_hit`, ``json.loads`` of the body bytes, then
+    :meth:`~repro.service.PlacementService.solve_wire`; but the calls
+    alternate two demand variants of ``instance`` (one pinned client
+    at its level and at the level plus one) through a one-entry cache,
+    so every call misses.  After the first, a call decodes a demand
+    copy of the known topology, then solves, checks, bounds and
+    encodes.  The service and the bodies are built here, untimed.
+    """
+    from ..service import PlacementService, SolveRequest
+
+    service = PlacementService(cache_size=1)
+    tree = instance.tree
+    clients = tree.clients
+    client = clients[len(clients) // 2]
+    variant = ProblemInstance(
+        tree.with_demands({client: tree.requests(client) + 1}),
+        instance.capacity, instance.dmax, instance.policy,
+    )
+    bodies = cycle([
+        json.dumps(SolveRequest(instance=inst).to_wire()).encode()
+        for inst in (instance, variant)
+    ])
+
+    def answer() -> bytes:
+        status, response = service.solve_wire(json.loads(next(bodies)))
+        if status != 200:
+            raise RuntimeError(f"/v1/solve answered HTTP {status}")
+        return response
+
+    answer()
+    if json.loads(answer())["diagnostics"]["cache_hit"]:
+        raise RuntimeError("an alternating body hit a one-entry cache")
+    return answer
+
+
 def _n_replicas(result: object) -> int:
     """Objective of a timed call's result: a placement or a response body."""
     if isinstance(result, bytes):
@@ -310,6 +355,8 @@ def run_bench(profile: str = "full", repeats: Optional[int] = None) -> Dict:
                     fn = _tick(inst)
                 elif solver == SERVICE_HIT:
                     fn = _service_hit(inst)
+                elif solver == SERVICE_MISS:
+                    fn = _service_miss(inst)
                 else:
                     fn = partial(get_solver(solver).fn, inst)
                 wall, result, calls, calibration_s = _time_best(fn, repeats)

@@ -104,6 +104,18 @@ class Placement:
         ``client``."""
         return sorted(s for (c, s) in self._assignments if c == client)
 
+    def by_client(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Every client's ``[(server, amount), ...]``, servers ascending
+        as :meth:`servers_of` lists them, from one pass over the
+        assignments (a loop of :meth:`servers_of` scans them per
+        client)."""
+        out: Dict[int, List[Tuple[int, int]]] = {}
+        for (c, s), a in self._assignments.items():
+            out.setdefault(c, []).append((s, a))
+        for pairs in out.values():
+            pairs.sort()
+        return out
+
     def served_amount(self, client: int) -> int:
         """Total requests of ``client`` that are assigned somewhere."""
         return sum(a for (c, _s), a in self._assignments.items() if c == client)

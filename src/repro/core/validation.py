@@ -16,13 +16,17 @@ violation is tagged with the rule it breaks:
    ``R``, and replicas are valid tree nodes.
 
 It shares no code with the solvers, so it can be used as an oracle in
-tests and benchmarks.
+tests and benchmarks: it reads the instance and the placement only —
+the tree, and the topology arrays of the tree's flat layout — never a
+solver's state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .arrays import flat_tree
 from .errors import InvalidPlacementError
 from .instance import ProblemInstance
 from .placement import Placement
@@ -50,9 +54,20 @@ def iter_violations(
     completeness, policy, ancestry and distance run for the sampled
     clients only.
 
-    One pass over the (sorted) assignments covers the per-assignment
-    constraints and accumulates the per-client totals the completeness
-    and policy checks read afterwards: O(R + A + C).
+    The check reads the tree's flat layout
+    (:func:`~repro.core.arrays.flat_tree`, compiled on first use), and
+    of it only the topology arrays ``orig_to_post``, ``subtree_begin``
+    and ``first_child``: demands come from the tree, since a derived
+    layout's demand columns are patched copies.  One unsorted pass over
+    the assignments covers the per-assignment constraints and
+    accumulates the per-client totals the completeness and policy
+    checks read afterwards.  A leaf test and an ancestry test are O(1):
+    ``s`` is an ancestor of ``c`` iff ``c``'s post position lies in the
+    span of ``s``'s subtree.  A distance is the exact upward sum of
+    :meth:`~repro.core.tree.Tree.distance_to_ancestor`, so on a
+    ``dmax`` instance an assignment also costs its path length.  Only
+    the violations found are sorted, by ``(client, server)``: O(R + A +
+    C) without ``dmax``, plus O(V log V) for V violations.
     """
     tree = instance.tree
     W = instance.capacity
@@ -65,56 +80,77 @@ def iter_violations(
         if not 0 <= r < n:
             yield "registration", f"replica {r} is not a node of the tree"
 
+    ft = flat_tree(tree)
+    post = ft.orig_to_post
+    begin = ft.subtree_begin
+    first_child = ft.first_child
+
     # Registration + ancestry + distance, per assignment; totals and
-    # per-client server sets accumulate unconditionally (completeness
-    # counts every assigned unit, valid or not).
+    # per-client server lists accumulate unconditionally (completeness
+    # counts every assigned unit, valid or not).  Findings are keyed
+    # by assignment and sorted once at the end.
+    found: List[Tuple[Tuple[int, int], str, str]] = []
     served: Dict[int, int] = {}
-    client_servers: Dict[int, Set[int]] = {}
+    # Under Single: each client's first server, and the servers of the
+    # clients seen with more than one (keys are unique, so each repeat
+    # of a client is a new server).
+    first: Dict[int, int] = {}
+    split: Dict[int, List[int]] = {}
     single = instance.policy is Policy.SINGLE
-    for (c, s), amount in sorted(placement.assignments.items()):
+    for key, amount in placement._assignments.items():
+        c, s = key
         served[c] = served.get(c, 0) + amount
         if single:
-            client_servers.setdefault(c, set()).add(s)
-        if not 0 <= c < n or not tree.is_leaf(c):
-            yield "completeness", f"assignment client {c} is not a leaf client"
+            s0 = first.setdefault(c, s)
+            if s0 != s:
+                split.setdefault(c, [s0]).append(s)
+        if not 0 <= c < n or first_child[post[c]] >= 0:
+            found.append((
+                key, "completeness", f"assignment client {c} is not a leaf client"
+            ))
             continue
         if not 0 <= s < n:
-            yield "registration", f"assignment server {s} is not a tree node"
+            found.append((
+                key, "registration", f"assignment server {s} is not a tree node"
+            ))
             continue
         if s not in replicas:
-            yield "registration", (
-                f"server {s} serves client {c} but is not in R"
-            )
+            found.append((
+                key, "registration", f"server {s} serves client {c} but is not in R"
+            ))
         if sample is not None and c not in sample:
             continue
-        if not tree.is_ancestor(s, c):
-            yield "ancestry", (
+        ps = post[s]
+        if not begin[ps] <= post[c] <= ps:
+            found.append((key, "ancestry", (
                 f"server {s} is not on the root path of client "
                 f"{c} (subtree constraint violated)"
-            )
+            )))
             continue
         if dmax is not None:
             d = tree.distance_to_ancestor(c, s)
             if d > dmax:
-                yield "distance", (
-                    f"client {c} served by {s} at distance "
-                    f"{d} > dmax={dmax}"
-                )
+                found.append((key, "distance", (
+                    f"client {c} served by {s} at distance {d} > dmax={dmax}"
+                )))
+    found.sort(key=itemgetter(0))
+    for _key, rule, message in found:
+        yield rule, message
 
     # Completeness and policy, per client.
+    requests = tree._requests
     for c in tree.clients if clients is None else clients:
-        r = tree.requests(c)
+        r = requests[c]
         got = served.get(c, 0)
         if got != r:
             yield "completeness", (
                 f"client {c} has {r} requests but {got} are assigned"
             )
-        if single and r > 0:
-            servers = sorted(client_servers.get(c, ()))
-            if len(servers) > 1:
-                yield "policy", (
-                    f"Single policy violated: client {c} uses servers {servers}"
-                )
+        if single and r > 0 and c in split:
+            servers = sorted(split[c])
+            yield "policy", (
+                f"Single policy violated: client {c} uses servers {servers}"
+            )
 
     # Capacity, per server.
     for s, load in placement.loads().items():

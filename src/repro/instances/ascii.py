@@ -26,6 +26,7 @@ def render_tree(
     """
     t = instance.tree
     replicas = placement.replicas if placement is not None else frozenset()
+    by_client = placement.by_client() if placement is not None else {}
     lines: List[str] = []
 
     # Iterative DFS carrying the drawing prefix.
@@ -38,8 +39,7 @@ def render_tree(
             served = ""
             if placement is not None and t.requests(v) > 0:
                 served = " -> " + ",".join(
-                    f"{s}(x{placement.assignments[(v, s)]})"
-                    for s in placement.servers_of(v)
+                    f"{s}(x{a})" for s, a in by_client.get(v, ())
                 )
             body = f"c{v} r={t.requests(v)}{tag}{served}"
         else:

@@ -4,16 +4,26 @@ JSON round-trip for :class:`~repro.core.instance.ProblemInstance` and
 :class:`~repro.core.placement.Placement`, plus Graphviz DOT export for
 papers/debugging.  The JSON schema is versioned and intentionally plain
 (lists of ints/floats) so instances can be produced by other tools.
+
+The instance decoder keeps the last :data:`DECODED_TOPOLOGIES`
+topologies it built, keyed by their packed ``parents`` and ``deltas``
+columns: a body whose topology is among them decodes as a demand copy
+of that tree (:meth:`~repro.core.tree.Tree.with_requests`), which
+checks only the requests and derives its flat layout instead of
+compiling one.  Services see many demand variants of one topology.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional
+import threading
+from collections import OrderedDict
+from typing import List, Optional, Sequence
 
+from ..core.arrays import flat_tree
 from ..core.errors import InvalidInstanceError
-from ..core.instance import ProblemInstance, fingerprint_columns
+from ..core.instance import ProblemInstance, _topology_columns, fingerprint_columns
 from ..core.placement import Placement
 from ..core.policies import Policy
 from ..core.tree import NO_PARENT, Tree
@@ -33,6 +43,14 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+#: How many recently decoded topologies :func:`instance_from_dict`
+#: keeps, each as one validated tree with its compiled flat layout.
+DECODED_TOPOLOGIES = 8
+
+_decoded: "OrderedDict[bytes, Tree]" = OrderedDict()
+# The daemon decodes on its handler threads.
+_decoded_lock = threading.Lock()
 
 
 class RawJSON:
@@ -148,7 +166,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         raise InvalidInstanceError(
             f"unsupported schema version {data.get('schema')!r}"
         )
-    tree = Tree(data["parents"], _deltas_from_wire(data["deltas"]), data["requests"])
+    tree = _decode_tree(
+        data["parents"], _deltas_from_wire(data["deltas"]), data["requests"]
+    )
     return ProblemInstance(
         tree,
         int(data["capacity"]),
@@ -156,6 +176,49 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         Policy(data["policy"]),
         name=data.get("name", ""),
     )
+
+
+def _decode_tree(
+    parents: Sequence[int], deltas: List[float], requests: Sequence[int]
+) -> Tree:
+    """``Tree(parents, deltas, requests)`` for wire columns, ``deltas``
+    normalised as :class:`Tree` stores them.
+
+    Equal packed ``parents`` and ``deltas`` columns mean an equal
+    topology, so a body whose columns pack like a recently decoded
+    tree's is a demand copy of that tree.  It raises what the
+    constructor would: a known topology is valid, so what can fail is
+    the request column, converted whole with ``int`` and then checked
+    entry by entry in node order (the entries equal to the known
+    tree's passed those checks already).  Any other body is built by
+    the constructor, and a tree it accepts is kept, its layout
+    compiled, and its packed columns left on its
+    :class:`~repro.core.tree.Topology` for the content key.
+    """
+    try:
+        key = _topology_columns(parents, deltas)
+        keyed = len(parents) == len(deltas) == len(requests)
+    except (TypeError, ValueError, OverflowError):
+        keyed = False
+    if not keyed:
+        # Columns that do not pack, or of unequal length (whose bytes
+        # could match another topology's): the constructor decides.
+        return Tree(parents, deltas, requests)
+    with _decoded_lock:
+        known = _decoded.get(key)
+        if known is not None:
+            _decoded.move_to_end(key)
+    if known is not None:
+        return known.with_requests([int(r) for r in requests])
+    tree = Tree(parents, deltas, requests)
+    tree._topology.key_columns = key
+    flat_tree(tree)
+    with _decoded_lock:
+        _decoded[key] = tree
+        _decoded.move_to_end(key)
+        while len(_decoded) > DECODED_TOPOLOGIES:
+            _decoded.popitem(last=False)
+    return tree
 
 
 def instance_fingerprint_from_dict(data: dict) -> str:
@@ -204,13 +267,14 @@ def load_instance(path: str) -> ProblemInstance:
 
 
 def placement_to_dict(placement: Placement) -> dict:
-    """Plain-JSON representation of a placement."""
+    """Plain-JSON representation of a placement: the sorted replicas,
+    and ``[client, server, amount]`` per assignment, sorted by
+    ``(client, server)``."""
+    amounts = placement._assignments
     return {
         "schema": SCHEMA_VERSION,
         "replicas": sorted(placement.replicas),
-        "assignments": [
-            [a.client, a.server, a.amount] for a in placement.iter_assignments()
-        ],
+        "assignments": [[c, s, amounts[c, s]] for c, s in sorted(amounts)],
     }
 
 

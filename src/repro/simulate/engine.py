@@ -96,6 +96,33 @@ class _WeightedRoundRobin:
         return self.targets[best]
 
 
+def _routers(
+    instance: ProblemInstance, placement: Placement
+) -> Dict[int, _WeightedRoundRobin]:
+    """One router per served client, its servers ascending and weighted
+    by their amounts.
+
+    Raises
+    ------
+    InvalidPlacementError
+        If a client with demand has no assigned server.
+    """
+    tree = instance.tree
+    by_client = placement.by_client()
+    routers: Dict[int, _WeightedRoundRobin] = {}
+    for c in tree.clients:
+        pairs = by_client.get(c)
+        if tree.requests(c) > 0 and not pairs:
+            raise InvalidPlacementError(
+                f"client {c} has demand but no assigned server"
+            )
+        if pairs:
+            routers[c] = _WeightedRoundRobin(
+                [s for s, _a in pairs], [a for _s, a in pairs]
+            )
+    return routers
+
+
 def simulate(
     instance: ProblemInstance,
     placement: Placement,
@@ -105,17 +132,7 @@ def simulate(
     """Replay ``trace`` against ``placement`` and collect metrics."""
     tree = instance.tree
     W = instance.capacity
-
-    routers: Dict[int, _WeightedRoundRobin] = {}
-    for c in tree.clients:
-        servers = placement.servers_of(c)
-        if tree.requests(c) > 0 and not servers:
-            raise InvalidPlacementError(
-                f"client {c} has demand but no assigned server"
-            )
-        if servers:
-            weights = [placement.assignments[(c, s)] for s in servers]
-            routers[c] = _WeightedRoundRobin(servers, weights)
+    routers = _routers(instance, placement)
 
     dist_cache: Dict[Tuple[int, int], float] = {}
 

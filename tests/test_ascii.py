@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.algorithms import single_gen
 from repro.instances import render_placement_summary, render_tree
+from tests.test_simulate import TestRouters, split_placement
 
 
 class TestRenderTree:
@@ -30,6 +31,18 @@ class TestRenderTree:
     def test_line_count(self, paper_example):
         out = render_tree(paper_example)
         assert len(out.splitlines()) == len(paper_example.tree)
+
+    def test_split_clients_list_servers_ascending(self):
+        inst = TestRouters.INSTANCE
+        t = inst.tree
+        p = split_placement(inst)
+        out = render_tree(inst, p)
+        for c in t.clients:
+            tag = " [R]" if c in p.replicas else ""
+            served = ",".join(
+                f"{s}(x{p.assignments[(c, s)]})" for s in p.servers_of(c)
+            )
+            assert f"c{c} r={t.requests(c)}{tag} -> {served} (" in out
 
 
 class TestSummary:

@@ -56,6 +56,14 @@ class TestCorpus:
             assert solvers == ["service-hit"]
         assert len(corpus_instance("quick", "mesh-wire").tree) == 9544
 
+    def test_quick_and_smoke_profiles_time_the_wire_miss(self):
+        for profile, name in (("quick", "mesh-miss"), ("smoke", "smoke-mesh-miss")):
+            corpus = {n: (inst, solvers) for n, inst, solvers
+                      in bench_corpus(profile)}
+            inst, solvers = corpus[name]
+            assert solvers == ["service-miss"]
+        assert corpus_instance("quick", "mesh-miss") == corpus_instance("quick", "mesh-wire")
+
     def test_full_profile_extends_quick(self):
         quick = {name for name, _i, _s in bench_corpus("quick")}
         full = {name for name, _i, _s in bench_corpus("full")}
@@ -94,6 +102,20 @@ class TestRunBench:
         )
         assert entry["status"] == "ok"
         assert entry["n_replicas"] == want.n_replicas
+
+    def test_service_miss_misses_every_call(self, smoke_snapshot):
+        from repro.analysis.bench import _service_miss
+        from repro.service import PlacementService
+
+        [entry] = [e for e in smoke_snapshot["entries"]
+                   if e["solver"] == "service-miss"]
+        inst = corpus_instance("smoke", entry["instance"])
+        assert entry["status"] == "ok"
+        assert entry["n_replicas"] == PlacementService().solve_instance(inst).n_replicas
+        answer = _service_miss(inst)
+        for _ in range(3):
+            body = json.loads(answer())
+            assert body["status"] == "ok" and not body["diagnostics"]["cache_hit"]
 
     def test_render_table(self, smoke_snapshot):
         text = render_bench_table(smoke_snapshot)

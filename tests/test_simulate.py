@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro import Placement, Policy
+from repro import InvalidPlacementError, Placement, Policy, is_valid
 from repro.algorithms import multiple_bin, single_gen
 from repro.instances import random_binary_tree, random_tree
 from repro.simulate import (
@@ -15,6 +17,24 @@ from repro.simulate import (
     simulate,
     validate_horizon,
 )
+from repro.simulate.engine import _routers
+
+
+def split_placement(instance):
+    """A valid Multiple placement that splits clients over up to three
+    servers of their root path (themselves, their parent, the root),
+    its map filled in shuffled order."""
+    tree = instance.tree
+    root = tree.root
+    amounts = {}
+    for c in tree.clients:
+        r = tree.requests(c)
+        path = list(dict.fromkeys([c, tree.parent(c), root]))[:r]
+        for k, s in enumerate(path):
+            amounts[(c, s)] = r // len(path) + (k < r % len(path))
+    items = list(amounts.items())
+    random.Random(7).shuffle(items)
+    return Placement({s for _c, s in amounts}, dict(items))
 
 
 class TestSimulateOrder:
@@ -208,3 +228,44 @@ class TestSimulation:
         res = simulate(inst, p, trace, horizon=3)
         assert res.overloads == []
         assert res.max_latency <= inst.dmax
+
+
+class TestRouters:
+    """The routers come from one grouping pass over the assignments and
+    match the per-client helpers they replaced."""
+
+    INSTANCE = random_tree(
+        6, 14, capacity=40, dmax=None, policy=Policy.MULTIPLE,
+        seed=4, request_range=(1, 9),
+    )
+
+    def test_targets_and_weights_match_the_per_client_helpers(self):
+        inst = self.INSTANCE
+        placement = split_placement(inst)
+        assert is_valid(inst, placement)
+        routers = _routers(inst, placement)
+        for c in inst.tree.clients:
+            servers = placement.servers_of(c)
+            assert routers[c].targets == servers
+            assert routers[c].weights == [placement.assignments[(c, s)] for s in servers]
+        assert set(routers) == set(inst.tree.clients)
+        assert max(len(r.targets) for r in routers.values()) == 3
+
+    def test_a_client_without_server_is_refused(self):
+        inst = self.INSTANCE
+        amounts = split_placement(inst).assignments
+        c = inst.tree.clients[0]
+        for key in [k for k in amounts if k[0] == c]:
+            del amounts[key]
+        with pytest.raises(InvalidPlacementError, match=f"client {c} has demand"):
+            _routers(inst, Placement({s for _c, s in amounts}, amounts))
+
+    def test_split_trace_replays_the_static_loads(self):
+        inst = self.INSTANCE
+        placement = split_placement(inst)
+        trace = deterministic_trace(inst.tree, horizon=4)
+        res = simulate(inst, placement, trace, horizon=4)
+        static = placement.loads()
+        assert res.served == len(trace)
+        for s, vec in res.unit_loads.items():
+            assert vec == [static[s]] * 4
